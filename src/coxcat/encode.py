@@ -19,8 +19,10 @@ from .core import (
     SetPartition,
     ValidationError,
     edges,
+    noncrossing_partitions,
     nonnested_blocks,
 )
+from .interpret import phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
 from .models import MarkedPair, MarkedTriple, is_member, validate_marked
 from .signed import SignedPartition
 
@@ -131,14 +133,10 @@ def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
 
 
 def psi_b(p: SignedPartition, check: bool = True) -> BPair:
-    from .interpret import phi_nc_b
-
     return varphi_b(phi_nc_b(p, check=check), check=False)
 
 
 def psi_b_inverse(bp: BPair, check: bool = True) -> SignedPartition:
-    from .interpret import phi_nc_b_inverse
-
     return phi_nc_b_inverse(varphi_b_inverse(bp, check=check), check=False)
 
 
@@ -177,21 +175,15 @@ def varphi_d_inverse(dp: DPair, check: bool = True) -> MarkedTriple:
 
 
 def psi_d(p: SignedPartition, check: bool = True) -> DPair:
-    from .interpret import phi_nc_d
-
     return varphi_d(phi_nc_d(p, check=check), check=False)
 
 
 def psi_d_inverse(dp: DPair, check: bool = True) -> SignedPartition:
-    from .interpret import phi_nc_d_inverse
-
     return phi_nc_d_inverse(varphi_d_inverse(dp, check=check), check=False)
 
 
 def b_pairs(n: int) -> Iterator[BPair]:
     """All (noncrossing partition, x) pairs with x nothing, an edge or a block."""
-    from .core import noncrossing_partitions
-
     for sigma in noncrossing_partitions(n):
         yield BPair(sigma, None)
         for e in edges(sigma):
@@ -202,8 +194,6 @@ def b_pairs(n: int) -> Iterator[BPair]:
 
 def d_pairs(n: int) -> Iterator[DPair]:
     """All pairs over noncrossing partitions of [n-1], including integer slots."""
-    from .core import noncrossing_partitions
-
     for sigma in noncrossing_partitions(n - 1):
         yield DPair(sigma, None)
         for e in edges(sigma):

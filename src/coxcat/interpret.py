@@ -1,16 +1,33 @@
 """Bijections between the signed families and marked type-A objects.
 
-Each forward map strips the negative integers and records which blocks were
-properly contained in a signed block; each inverse rebuilds the signed
-partition from the marked blocks, pairing them by the family's matching
-convention.  The D maps carry an extra sign for the block absorbing n.
+The five signed families are one construction (Reiner 1997; Athanasiadis-
+Reiner 2004) that varies in three choices, one row per family in
+models.SIGNED_FAMILIES: the total order whose standard representation avoids
+the pattern (D families are decided through the bijection itself), the class
+of marked pairs or triples, and whether the held marks sit in the middle or
+first of the marks sorted by maximum.
+
+The forward map keeps the positive parts of the blocks and marks those that
+lost negative elements; for D it also drops n and records the sign of the
+block absorbing n.  The inverse holds one mark when their number k is odd,
+or 2 - k mod 2 marks, which absorb n, under a nonzero sign, and pairs the
+rest first-with-last.
 """
 
 from __future__ import annotations
 
 from .core import Block, SetPartition, ValidationError
-from .models import MarkedPair, MarkedTriple, d_reduce, is_member, validate_marked
-from .signed import SignedPartition, positive_part
+from .models import (
+    MARKED_TRIPLE_CLASSES,
+    SIGNED_FAMILIES,
+    MarkedPair,
+    MarkedTriple,
+    _class_parts,
+    d_reduce,
+    is_member,
+    validate_marked,
+)
+from .signed import SignedPartition, _from_pairs
 
 
 def pairing(blocks) -> tuple[int, ...]:
@@ -22,104 +39,17 @@ def pairing(blocks) -> tuple[int, ...]:
     return tuple(sorted((len(bs[i]) + len(bs[-1 - i]) for i in range(k)), reverse=True))
 
 
-def _alpha_marked(p: SignedPartition, n: int) -> MarkedPair:
-    """Positive parts of the blocks; mark those properly contained in their block."""
+def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, list[Block]]:
+    """Parts of the blocks inside [1, top); mark those properly contained in their block."""
     blocks: list[Block] = []
     marked: list[Block] = []
     for b in p.blocks:
-        pos = positive_part(b)
-        if not pos:
-            continue
-        blocks.append(pos)
-        if len(pos) < len(b):
-            marked.append(pos)
-    sigma = SetPartition.from_blocks(blocks, n)
-    return MarkedPair.make(sigma, marked)
-
-
-def _mirror(b) -> Block:
-    return tuple(sorted(-x for x in b))
-
-
-def _signed_from_pairs(
-    sigma: SetPartition,
-    marked: tuple[Block, ...],
-    pairs: list[tuple[Block, Block]],
-    zero: Block | None,
-) -> SignedPartition:
-    out: list[Block] = []
-    for a1, a2 in pairs:
-        mixed = tuple(sorted(a1 + _mirror(a2)))
-        out.append(mixed)
-        out.append(_mirror(mixed))
-    if zero is not None:
-        out.append(tuple(sorted(zero + _mirror(zero))))
-    consumed = {b for pr in pairs for b in pr} | ({zero} if zero else set())
-    for b in sigma.blocks:
-        if b not in consumed:
-            out.append(b)
-            out.append(_mirror(b))
-    return SignedPartition.from_blocks(out, sigma.n)
-
-
-def _first_with_last(blocks: tuple[Block, ...]) -> list[tuple[Block, Block]]:
-    return [(blocks[i], blocks[-1 - i]) for i in range(len(blocks) // 2)]
-
-
-# ---------------------------------------------------------------------------
-# Type B and C
-
-
-def phi_nc_b(p: SignedPartition, check: bool = True) -> MarkedPair:
-    if check and not is_member(p, "nc_b"):
-        raise ValidationError("not a type-B noncrossing partition")
-    return _alpha_marked(p, p.n)
-
-
-def phi_nc_b_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
-    """Middle-unmatched convention: X_i pairs with X_{k+1-i}, odd middle -> zero block."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
-    x = m.marked
-    zero = x[len(x) // 2] if len(x) % 2 else None
-    return _signed_from_pairs(m.sigma, x, _first_with_last(x), zero)
-
-
-def phi_nn_b(p: SignedPartition, check: bool = True) -> MarkedPair:
-    if check and not is_member(p, "nn_b"):
-        raise ValidationError("not a type-B nonnesting partition")
-    return _alpha_marked(p, p.n)
-
-
-def phi_nn_b_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
-    """First-unmatched convention: an odd count makes the smallest-max block the zero block."""
-    if check and not validate_marked(m, "nn_na"):
-        raise ValidationError("not a marked nonnesting pair with nonaligned marks")
-    x = m.marked
-    if len(x) % 2:
-        zero, rest = x[0], x[1:]
-    else:
-        zero, rest = None, x
-    return _signed_from_pairs(m.sigma, x, _first_with_last(rest), zero)
-
-
-def phi_nn_c(p: SignedPartition, check: bool = True) -> MarkedPair:
-    if check and not is_member(p, "nn_c"):
-        raise ValidationError("not a type-C nonnesting partition")
-    return _alpha_marked(p, p.n)
-
-
-def phi_nn_c_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
-    """Middle-unmatched convention, like the type-B noncrossing inverse."""
-    if check and not validate_marked(m, "nn_na"):
-        raise ValidationError("not a marked nonnesting pair with nonaligned marks")
-    x = m.marked
-    zero = x[len(x) // 2] if len(x) % 2 else None
-    return _signed_from_pairs(m.sigma, x, _first_with_last(x), zero)
-
-
-# ---------------------------------------------------------------------------
-# Type D
+        pos = tuple(x for x in b if 0 < x < top)
+        if pos:
+            blocks.append(pos)
+            if len(pos) < len(b):
+                marked.append(pos)
+    return SetPartition.from_blocks(blocks, top - 1), marked
 
 
 def _epsilon_of_top_block(bn: Block, n: int) -> int:
@@ -133,115 +63,111 @@ def _epsilon_of_top_block(bn: Block, n: int) -> int:
     return -1
 
 
-def _phi_d_forward(p: SignedPartition) -> MarkedTriple:
-    """Shared case analysis for both D maps; no membership check."""
+def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | MarkedTriple:
+    spec = SIGNED_FAMILIES[family]
+    if check and not is_member(p, family):
+        raise ValidationError(f"not a type-{family[-1].upper()} non{spec.pattern} partition")
     n = p.n
+    if spec.marked not in MARKED_TRIPLE_CLASSES:
+        return MarkedPair.make(*_positive_parts(p, n + 1))
     bn = p.block_containing(n)
     if bn == (n,) or p.zero_block() is not None:
         reduced = d_reduce(p)
         if reduced is None:
             raise ValidationError("the top-element merge is not a signed partition")
-        pair = _alpha_marked(reduced, n - 1)
-        return MarkedTriple(pair.sigma, pair.marked, 0)
-    eps = _epsilon_of_top_block(bn, n)
-    blocks: list[Block] = []
-    marked: list[Block] = []
-    for b in p.blocks:
-        pos = tuple(x for x in positive_part(b) if x != n)
-        if not pos:
-            continue
-        blocks.append(pos)
-        if set(pos) != set(b):
-            marked.append(pos)
-    sigma = SetPartition.from_blocks(blocks, n - 1)
-    return MarkedTriple.make(sigma, marked, eps)
+        return MarkedTriple.make(*_positive_parts(reduced, n), 0)
+    return MarkedTriple.make(*_positive_parts(p, n), _epsilon_of_top_block(bn, n))
+
+
+def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block]]:
+    """The pairs (A, A') whose blocks A u -A' and their mirrors make up the image.
+
+    Under a nonzero sign e the held marks H give (H_1 + (e n,), H_2 or ()).
+    Otherwise a held mark A gives (A, A), the zero block, which takes +-n
+    along for a triple; a triple without held marks gets ((n,), ()).
+    """
+    x, k = m.marked, len(m.marked)
+    triple = isinstance(m, MarkedTriple)
+    eps = m.epsilon if triple else 0
+    h = 2 - k % 2 if eps else k % 2
+    s = (k - h) // 2 if SIGNED_FAMILIES[family].held == "middle" else 0
+    held, rest = x[s:s + h], x[:s] + x[s + h:]
+    pairs = [(rest[i], rest[-1 - i]) for i in range(len(rest) // 2)]
+    top = (m.sigma.n + 1,) if triple else ()
+    if eps:
+        pairs.append((held[0] + (eps * top[0],), held[1] if h == 2 else ()))
+    elif held:
+        pairs.append((held[0] + top, held[0] + top))
+    elif top:
+        pairs.append((top, ()))
+    return pairs
+
+
+def _inverse(family: str, m: MarkedPair | MarkedTriple, check: bool) -> SignedPartition:
+    spec = SIGNED_FAMILIES[family]
+    if check and not validate_marked(m, spec.marked):
+        _, kind, is_triple = _class_parts(spec.marked)
+        shape = "triple" if is_triple else "pair"
+        raise ValidationError(f"not a marked non{spec.pattern} {shape} with {kind} marks")
+    n = m.sigma.n + 1 if isinstance(m, MarkedTriple) else m.sigma.n
+    return _from_pairs(m.sigma, m.marked, _pairs(family, m), n)
+
+
+def _type_clause(family: str, m: MarkedPair | MarkedTriple) -> tuple[int, ...]:
+    """Sizes of the image's nonzero mirror pairs that are not blocks of sigma."""
+    return _type_multiset(len(a1) + len(a2) for a1, a2 in _pairs(family, m) if a1 != a2)
+
+
+# ---------------------------------------------------------------------------
+# Type B and C
+
+
+def phi_nc_b(p: SignedPartition, check: bool = True) -> MarkedPair:
+    return _forward("nc_b", p, check)
+
+
+def phi_nc_b_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
+    """Middle-unmatched convention: X_i pairs with X_{k+1-i}, odd middle -> zero block."""
+    return _inverse("nc_b", m, check)
+
+
+def phi_nn_b(p: SignedPartition, check: bool = True) -> MarkedPair:
+    return _forward("nn_b", p, check)
+
+
+def phi_nn_b_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
+    """First-unmatched convention: an odd count makes the smallest-max block the zero block."""
+    return _inverse("nn_b", m, check)
+
+
+def phi_nn_c(p: SignedPartition, check: bool = True) -> MarkedPair:
+    return _forward("nn_c", p, check)
+
+
+def phi_nn_c_inverse(m: MarkedPair, check: bool = True) -> SignedPartition:
+    """Middle-unmatched convention, like the type-B noncrossing inverse."""
+    return _inverse("nn_c", m, check)
+
+
+# ---------------------------------------------------------------------------
+# Type D
 
 
 def phi_nc_d(p: SignedPartition, check: bool = True) -> MarkedTriple:
-    if check and not is_member(p, "nc_d"):
-        raise ValidationError("not a type-D noncrossing partition")
-    return _phi_d_forward(p)
-
-
-def phi_nn_d(p: SignedPartition, check: bool = True) -> MarkedTriple:
-    if check and not is_member(p, "nn_d"):
-        raise ValidationError("not a type-D nonnesting partition")
-    return _phi_d_forward(p)
-
-
-def _eps_set(eps: int, b: Block) -> Block:
-    return tuple(sorted(eps * x for x in b))
-
-
-def _grow_by_top(p: SignedPartition, n: int) -> SignedPartition:
-    """Add +-n to the zero block, or as two singletons when there is none."""
-    z = p.zero_block()
-    blocks = []
-    for b in p.blocks:
-        blocks.append(tuple(sorted(b + (n, -n))) if b == z else b)
-    if z is None:
-        blocks.extend([(n,), (-n,)])
-    return SignedPartition.from_blocks(blocks, n)
+    return _forward("nc_d", p, check)
 
 
 def phi_nc_d_inverse(t: MarkedTriple, check: bool = True) -> SignedPartition:
-    if check and not validate_marked(t, "nc_nn_pm"):
-        raise ValidationError("not a marked noncrossing triple with nonnested marks")
-    n = t.sigma.n + 1
-    if t.epsilon == 0:
-        return _grow_by_top(phi_nc_b_inverse(t.pair, check=False), n)
-    x = t.marked
-    k = len(x)
-    if k % 2 == 0:
-        half = k // 2
-        pairs = [pr for pr in _first_with_last(x) if pr != (x[half - 1], x[half])]
-        top = _eps_set(t.epsilon, x[half - 1] + _mirror(x[half])) + (n,)
-        zero = None
-    else:
-        pairs = _first_with_last(x[: k // 2] + x[k // 2 + 1:])
-        top = _eps_set(t.epsilon, x[k // 2]) + (n,)
-        zero = None
-    out = [tuple(sorted(top)), _mirror(tuple(sorted(top)))]
-    consumed = {b for pr in pairs for b in pr}
-    middle = {x[k // 2 - 1], x[k // 2]} if k % 2 == 0 else {x[k // 2]}
-    for a1, a2 in pairs:
-        mixed = tuple(sorted(a1 + _mirror(a2)))
-        out.append(mixed)
-        out.append(_mirror(mixed))
-    for b in t.sigma.blocks:
-        if b not in consumed and b not in middle:
-            out.append(b)
-            out.append(_mirror(b))
-    return SignedPartition.from_blocks(out, n)
+    return _inverse("nc_d", t, check)
+
+
+def phi_nn_d(p: SignedPartition, check: bool = True) -> MarkedTriple:
+    return _forward("nn_d", p, check)
 
 
 def phi_nn_d_inverse(t: MarkedTriple, check: bool = True) -> SignedPartition:
     """The low-max marked blocks absorb n; the remainder pairs first-with-last."""
-    if check and not validate_marked(t, "nn_na_pm"):
-        raise ValidationError("not a marked nonnesting triple with nonaligned marks")
-    n = t.sigma.n + 1
-    if t.epsilon == 0:
-        return _grow_by_top(phi_nn_b_inverse(t.pair, check=False), n)
-    x = t.marked
-    if len(x) % 2 == 0:
-        top = _eps_set(t.epsilon, x[0] + _mirror(x[1])) + (n,)
-        absorbed = {x[0], x[1]}
-        pairs = _first_with_last(x[2:])
-    else:
-        top = _eps_set(t.epsilon, x[0]) + (n,)
-        absorbed = {x[0]}
-        pairs = _first_with_last(x[1:])
-    out = [tuple(sorted(top)), _mirror(tuple(sorted(top)))]
-    consumed = {b for pr in pairs for b in pr} | absorbed
-    for a1, a2 in pairs:
-        mixed = tuple(sorted(a1 + _mirror(a2)))
-        out.append(mixed)
-        out.append(_mirror(mixed))
-    for b in t.sigma.blocks:
-        if b not in consumed:
-            out.append(b)
-            out.append(_mirror(b))
-    return SignedPartition.from_blocks(out, n)
+    return _inverse("nn_d", t, check)
 
 
 # ---------------------------------------------------------------------------
@@ -259,41 +185,20 @@ def unmarked_type(m: MarkedPair | MarkedTriple) -> tuple[int, ...]:
 
 def type_clause_b(m: MarkedPair) -> tuple[int, ...]:
     """T for the type-B noncrossing interpretation (middle block drops out when odd)."""
-    x = m.marked
-    if len(x) % 2 == 0:
-        return pairing(x)
-    return pairing(x[: len(x) // 2] + x[len(x) // 2 + 1:])
+    return _type_clause("nc_b", m)
 
 
 def type_clause_nn_b(m: MarkedPair) -> tuple[int, ...]:
-    x = m.marked
-    if len(x) % 2 == 0:
-        return pairing(x)
-    return pairing(x[1:])
+    return _type_clause("nn_b", m)
 
 
-type_clause_nn_c = type_clause_b
+def type_clause_nn_c(m: MarkedPair) -> tuple[int, ...]:
+    return _type_clause("nn_c", m)
 
 
 def type_clause_nc_d(t: MarkedTriple) -> tuple[int, ...]:
-    x, k = t.marked, len(t.marked)
-    if t.epsilon == 0 and k % 2 == 0:
-        return _type_multiset(pairing(x) + (1,))
-    if t.epsilon == 0:
-        return pairing(x[: k // 2] + x[k // 2 + 1:])
-    if k % 2 == 0:
-        rest = tuple(b for i, b in enumerate(x) if i not in (k // 2 - 1, k // 2))
-        return _type_multiset(pairing(rest) + (len(x[k // 2 - 1]) + len(x[k // 2]) + 1,))
-    rest = x[: k // 2] + x[k // 2 + 1:]
-    return _type_multiset(pairing(rest) + (len(x[k // 2]) + 1,))
+    return _type_clause("nc_d", t)
 
 
 def type_clause_nn_d(t: MarkedTriple) -> tuple[int, ...]:
-    x, k = t.marked, len(t.marked)
-    if t.epsilon == 0 and k % 2 == 0:
-        return _type_multiset(pairing(x) + (1,))
-    if t.epsilon == 0:
-        return pairing(x[1:])
-    if k % 2 == 0:
-        return _type_multiset(pairing(x[2:]) + (len(x[0]) + len(x[1]) + 1,))
-    return _type_multiset(pairing(x[1:]) + (len(x[0]) + 1,))
+    return _type_clause("nn_d", t)

@@ -1,9 +1,9 @@
 """Membership, enumeration, and counting for the eight partition families.
 
 Families are named nc_a, nn_a, pi_b, nc_b, nc_d, nn_b, nn_c, nn_d.  Signed
-memberships test the standard representation with respect to the family's
-total order; the D families go through the reduction that merges the blocks
-containing the top element.
+memberships read the family's row of SIGNED_FAMILIES: the standard
+representation must avoid the pattern in the family's total order, and the D
+families are decided through their marked-triple bijection.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     nonnested_blocks,
     type_of,
 )
-from .signed import SignedPartition, enumerate_signed, signed_type, zero_block_size
+from .signed import SignedPartition, count_signed, enumerate_signed, signed_type, zero_block_size
 
 FAMILIES = ("nc_a", "nn_a", "pi_b", "nc_b", "nc_d", "nn_b", "nn_c", "nn_d")
 UNSIGNED_FAMILIES = ("nc_a", "nn_a")
@@ -45,6 +45,34 @@ def order_nn_c(n: int) -> tuple[int, ...]:
 
 def order_nn_b(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1)) + (0,) + tuple(-i for i in range(n, 0, -1))
+
+
+_ORDERS = {"nc_b": order_nc_b, "nn_b": order_nn_b, "nn_c": order_nn_c}
+
+
+@dataclass(frozen=True)
+class SignedFamily:
+    """The three choices that tell the signed families apart.
+
+    order names the membership order (a key of _ORDERS), or is "bijection"
+    when membership is decided through the marked-triple map; pattern is
+    "crossing" or "nesting"; marked is the marked class in bijection with the
+    family; held says whether the unpaired marks sit "middle" or "first".
+    """
+
+    order: str
+    pattern: str
+    marked: str
+    held: str
+
+
+SIGNED_FAMILIES = {
+    "nc_b": SignedFamily("nc_b", "crossing", "nc_nn", "middle"),
+    "nn_b": SignedFamily("nn_b", "nesting", "nn_na", "first"),
+    "nn_c": SignedFamily("nn_c", "nesting", "nn_na", "middle"),
+    "nc_d": SignedFamily("bijection", "crossing", "nc_nn_pm", "middle"),
+    "nn_d": SignedFamily("bijection", "nesting", "nn_na_pm", "first"),
+}
 
 
 def _with_zero_element(p: SignedPartition) -> list[Block]:
@@ -89,18 +117,15 @@ def is_member(p, family: str) -> bool:
         raise ValidationError(f"unknown family {family!r}")
     if not isinstance(p, SignedPartition):
         raise ValidationError(f"family {family} needs a signed partition")
-    n = p.n
     if family == "pi_b":
         return True
-    if family == "nc_b":
-        return noncrossing_wrt(p, order_nc_b(n))
-    if family == "nn_c":
-        return nonnesting_wrt(p, order_nn_c(n))
-    if family == "nn_b":
-        return nonnesting_wrt(_with_zero_element(p), order_nn_b(n))
-    if family in ("nc_d", "nn_d"):
+    spec = SIGNED_FAMILIES[family]
+    if spec.order == "bijection":
         return _is_member_d(p, family)
-    raise ValidationError(f"unknown family {family!r}")
+    order = _ORDERS[spec.order](p.n)
+    # 0 sits between the halves of the type-B nesting order and joins the zero block
+    blocks = _with_zero_element(p) if 0 in order else p
+    return (noncrossing_wrt if spec.pattern == "crossing" else nonnesting_wrt)(blocks, order)
 
 
 def _is_member_d(p: SignedPartition, family: str) -> bool:
@@ -113,23 +138,20 @@ def _is_member_d(p: SignedPartition, family: str) -> bool:
     wrap around the center the wrong way, and in the nonnesting case the
     reduction also excludes genuine members.
     """
+    # interpret builds its maps on this module, so it is imported at call time
     from . import interpret
 
     n = p.n
-    if n < 1:
-        return False
     z = p.zero_block()
     if z is not None and not {n, -n} < set(z):
         return False
     try:
-        triple = interpret._phi_d_forward(p)
+        triple = interpret._forward(family, p, check=False)
     except ValidationError:
         return False
-    cls_name = "nc_nn_pm" if family == "nc_d" else "nn_na_pm"
-    if not validate_marked(triple, cls_name):
+    if not validate_marked(triple, SIGNED_FAMILIES[family].marked):
         return False
-    inv = interpret.phi_nc_d_inverse if family == "nc_d" else interpret.phi_nn_d_inverse
-    return inv(triple, check=False) == p
+    return interpret._inverse(family, triple, check=False) == p
 
 
 def _canonical_key(p) -> tuple:
@@ -143,6 +165,7 @@ def enumerate_family(family: str, n: int, constructive: bool = False):
     For nc_b, constructive=True builds members through the marked-pair
     bijection instead of filtering all signed partitions.
     """
+    _check_n(n)
     if family == "nc_a":
         items = list(noncrossing_partitions(n))
     elif family == "nn_a":
@@ -150,6 +173,7 @@ def enumerate_family(family: str, n: int, constructive: bool = False):
     elif family == "pi_b":
         items = list(enumerate_signed(n))
     elif family == "nc_b" and constructive:
+        # interpret builds its maps on this module, so it is imported at call time
         from .interpret import phi_nc_b_inverse
 
         items = [
@@ -262,17 +286,22 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _check_n(n: int, least: int = 0) -> None:
+    if n < least:
+        raise ValidationError(f"n must be >= {least}")
+
+
 def count_family(family: str, n: int) -> int:
     """Closed-form cardinality of a family."""
+    _check_n(n)
     if family in ("nc_a", "nn_a"):
         return catalan(n)
     if family == "pi_b":
-        from .signed import count_signed
-
         return count_signed(n)
     if family in ("nc_b", "nn_b", "nn_c"):
         return math.comb(2 * n, n)
     if family in ("nc_d", "nn_d"):
+        _check_n(n, 1)
         return _exact_div((3 * n - 2) * math.comb(2 * n - 2, n - 1), n)
     raise ValidationError(f"unknown family {family!r}")
 

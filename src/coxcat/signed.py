@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .core import Block, SetPartition, ValidationError, partitions
 
@@ -156,20 +156,25 @@ def compose_triple(
         raise ValidationError("matching must consist of disjoint pairs of marked blocks")
     if len(marked) - len(in_pairs) > 1:
         raise ValidationError("matching is not maximal on the marked blocks")
-    out: list[tuple[int, ...]] = []
+    leftover = marked - set(in_pairs)
+    return _from_pairs(sigma, marked, pairs + [(a, a) for a in leftover], sigma.n)
+
+
+def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -> SignedPartition:
+    """Each pair (A, A') gives A u -A' and its mirror, one zero block when A = A';
+    each block of sigma outside marked gives itself and its mirror."""
+    out: list[Block] = []
     for a1, a2 in pairs:
         mixed = tuple(sorted(a1 + tuple(-x for x in a2)))
+        mirror = tuple(-x for x in reversed(mixed))
         out.append(mixed)
-        out.append(tuple(sorted(-x for x in mixed)))
-    leftover = marked - set(in_pairs)
-    if leftover:
-        (a,) = leftover
-        out.append(tuple(sorted(a + tuple(-x for x in a))))
+        if mirror != mixed:
+            out.append(mirror)
     for b in sigma.blocks:
         if b not in marked:
             out.append(b)
-            out.append(tuple(sorted(-x for x in b)))
-    return SignedPartition.from_blocks(out, sigma.n)
+            out.append(tuple(-x for x in reversed(b)))
+    return SignedPartition.from_blocks(out, n)
 
 
 def maximal_matchings(items: Iterable[Block]) -> Iterator[tuple[tuple[Block, Block], ...]]:

@@ -27,7 +27,7 @@ from .core import (
     pattern_free,
     type_of,
 )
-from .models import MarkedPair, MarkedTriple, enumerate_family, marked_pairs, marked_triples
+from .models import enumerate_family, marked_pairs, marked_triples
 from .signed import (
     count_signed,
     decompose_triple,
@@ -215,60 +215,45 @@ def _int_partitions(total: int, mx: int | None = None):
 
 def suite_interpret(max_n: int) -> list[Check]:
     out = []
-    specs = [
-        ("nc_b", "nc_nn", interpret.phi_nc_b, interpret.phi_nc_b_inverse, interpret.type_clause_b, False),
-        ("nn_b", "nn_na", interpret.phi_nn_b, interpret.phi_nn_b_inverse, interpret.type_clause_nn_b, False),
-        ("nn_c", "nn_na", interpret.phi_nn_c, interpret.phi_nn_c_inverse, interpret.type_clause_nn_c, False),
-        ("nc_d", "nc_nn_pm", interpret.phi_nc_d, interpret.phi_nc_d_inverse, interpret.type_clause_nc_d, True),
-        ("nn_d", "nn_na_pm", interpret.phi_nn_d, interpret.phi_nn_d_inverse, interpret.type_clause_nn_d, True),
-    ]
-    for fam, cls, fwd, inv, clause, is_d in specs:
+    zero_ok = True
+    for fam, spec in models.SIGNED_FAMILIES.items():
+        fwd, inv = getattr(interpret, f"phi_{fam}"), getattr(interpret, f"phi_{fam}_inverse")
+        is_d = spec.marked in models.MARKED_TRIPLE_CLASSES
         ok = True
         branch_seen = set()
         for n in range(1, _cap(6, max_n) + 1):
             members = enumerate_family(fam, n)
             if is_d:
-                domain = list(marked_triples(n - 1, cls))
+                domain = list(marked_triples(n - 1, spec.marked))
             else:
-                domain = list(marked_pairs(n, cls))
+                domain = list(marked_pairs(n, spec.marked))
             imgs = []
             for p in members:
                 m = fwd(p, check=False)
-                if not models.validate_marked(m, cls):
+                if not models.validate_marked(m, spec.marked):
                     ok = False
                 if inv(m, check=False) != p:
                     ok = False
-                want = tuple(sorted(interpret.unmarked_type(m) + clause(m), reverse=True))
+                want = tuple(sorted(interpret.unmarked_type(m) + interpret._type_clause(fam, m), reverse=True))
                 if signed_type(p) != want:
                     ok = False
+                imgs.append(m)
                 if is_d:
                     branch_seen.add((m.epsilon == 0, len(m.marked) % 2))
-                imgs.append(m)
+                    continue
+                z = p.zero_block()
+                if (len(m.marked) % 2 == 1) != (z is not None):
+                    zero_ok = False
+                elif z is not None:
+                    held = m.marked[len(m.marked) // 2 if spec.held == "middle" else 0]
+                    if tuple(sorted(held + tuple(-x for x in held))) != z:
+                        zero_ok = False
             if len(set(imgs)) != len(members) or set(imgs) != set(domain):
                 ok = False
         if is_d and len(branch_seen) < 4:
             ok = False
         out.append(_check("interpret", f"{fam}: bijective with type clause", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        for p in enumerate_family("nc_b", n):
-            m = interpret.phi_nc_b(p, check=False)
-            z = p.zero_block()
-            if (len(m.marked) % 2 == 1) != (z is not None):
-                ok = False
-            if z is not None:
-                mid = m.marked[len(m.marked) // 2]
-                if tuple(sorted(mid + tuple(-x for x in mid))) != z:
-                    ok = False
-        for p in enumerate_family("nn_b", n):
-            m = interpret.phi_nn_b(p, check=False)
-            z = p.zero_block()
-            if z is not None:
-                first = m.marked[0]
-                if tuple(sorted(first + tuple(-x for x in first))) != z:
-                    ok = False
-    out.append(_check("interpret", "zero blocks sit at the middle (B) or first (NN-B) mark", ok))
+    out.append(_check("interpret", "zero blocks sit at the middle (B) or first (NN-B) mark", zero_ok))
     return out
 
 

@@ -79,6 +79,45 @@ def test_map_bad_json(capsys, monkeypatch):
     assert code == 1 and "JSON" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--family", "nc_b", "--n", "-1"],
+        ["count", "--family", "nc_a", "--n", "-1"],
+        ["count", "--family", "nc_d", "--n", "0"],
+        ["count", "--family", "nn_d", "--n", "0"],
+        ["enumerate", "--family", "nc_b", "--n", "-2"],
+        ["enumerate", "--family", "pi_b", "--n", "-1"],
+        ["enumerate", "--family", "nc_a", "--n", "-1", "--count-only"],
+    ],
+)
+def test_out_of_domain_n_exit_code(capsys, args):
+    code, out, err = run_cli(capsys, args)
+    assert code == 1 and out == "" and err.startswith("error: n must be >=")
+
+
+@pytest.mark.parametrize(
+    "name,payload",
+    [
+        ("rho", '{"blocks": [[1, "a"]]}'),
+        ("rho", '{"blocks": [[true]]}'),
+        ("rho", '{"blocks": [1, 2]}'),
+        ("rho", '{"n": "2", "blocks": [[1], [2]]}'),
+        ("phi_nc_b", '{"blocks": [[1, -1.0]]}'),
+        ("phi_nc_b_inverse", '{"sigma": {"blocks": [[1]]}, "marked": [[1, "a"]]}'),
+        ("phi_nc_d_inverse", '{"sigma": {"blocks": [[1]]}, "marked": [[1]], "epsilon": true}'),
+        ("nc_to_dyck_inverse", '{"steps": 5}'),
+        ("nc_to_dyck_inverse", '{"steps": ["N", "E"]}'),
+        ("psi_d_inverse", '{"sigma": {"blocks": [[1, 2]]}, "x": {"int": "1"}}'),
+        ("psi_b_inverse", '{"sigma": {"blocks": [[1, 2]]}, "x": "edge"}'),
+        ("f_map_inverse", '{"south": [1], "east": ["2"], "ones": []}'),
+    ],
+)
+def test_map_rejects_mistyped_json(capsys, monkeypatch, name, payload):
+    code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_count_with_type(capsys):
     code, out, _ = run_cli(capsys, ["count", "--family", "nc_d", "--n", "3", "--type", "3"])
     assert code == 0 and out.strip() == "4"

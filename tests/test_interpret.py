@@ -1,6 +1,10 @@
+import random
+import re
+
 import pytest
 
-from coxcat.core import SetPartition, ValidationError
+from coxcat.core import SetPartition, ValidationError, nonaligned_blocks, nonnested_blocks
+from coxcat.encode import LatticePath, dyck_to_nc
 from coxcat.interpret import (
     pairing,
     phi_nc_b,
@@ -16,11 +20,13 @@ from coxcat.interpret import (
     type_clause_b,
     type_clause_nc_d,
     type_clause_nn_b,
+    type_clause_nn_c,
     type_clause_nn_d,
     unmarked_type,
 )
 from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, is_member
 from coxcat.signed import SignedPartition, signed_type
+from coxcat.typemaps import rho
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
@@ -126,11 +132,42 @@ def test_epsilon_branches_never_collide():
             assert phi_nn_d_inverse(t, check=False) != phi_nn_d_inverse(other, check=False)
 
 
-def test_membership_precondition_enforced():
-    crossed = sgn([[1, 3], [-1, -3], [2, -2]])
-    assert not is_member(crossed, "nc_b")
-    with pytest.raises(ValidationError):
-        phi_nc_b(crossed)
+CROSSED = sgn([[1, 3], [-1, -3], [2, -2]])
+OUTSIDE_ALL = sgn([[1, -2], [-1, 2], [3, -3]])
+NESTED_MARK = MarkedPair.make(sp([[1, 4], [2, 3]]), [(2, 3)])
+ALIGNED_MARK = MarkedPair.make(sp([[1, 2], [3, 4]]), [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "fn,arg,message",
+    [
+        (phi_nc_b, CROSSED, "not a type-B noncrossing partition"),
+        (phi_nn_b, OUTSIDE_ALL, "not a type-B nonnesting partition"),
+        (phi_nn_c, OUTSIDE_ALL, "not a type-C nonnesting partition"),
+        (phi_nc_d, CROSSED, "not a type-D noncrossing partition"),
+        (phi_nn_d, OUTSIDE_ALL, "not a type-D nonnesting partition"),
+        (phi_nc_b_inverse, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
+        (phi_nn_b_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
+        (phi_nn_c_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
+        (
+            phi_nc_d_inverse,
+            MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1),
+            "not a marked noncrossing triple with nonnested marks",
+        ),
+        (
+            phi_nn_d_inverse,
+            MarkedTriple(ALIGNED_MARK.sigma, ALIGNED_MARK.marked, 1),
+            "not a marked nonnesting triple with nonaligned marks",
+        ),
+    ],
+    ids=[
+        "phi_nc_b", "phi_nn_b", "phi_nn_c", "phi_nc_d", "phi_nn_d",
+        "phi_nc_b_inverse", "phi_nn_b_inverse", "phi_nn_c_inverse", "phi_nc_d_inverse", "phi_nn_d_inverse",
+    ],
+)
+def test_membership_precondition_enforced(fn, arg, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fn(arg, check=True)
 
 
 @pytest.mark.parametrize(
@@ -150,3 +187,46 @@ def test_roundtrip_and_type_clause_small(family, fwd, inv, clause):
             assert inv(m, check=False) == p
             want = tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
             assert signed_type(p) == want
+
+
+def _random_nc(rng: random.Random, n: int) -> SetPartition:
+    """A uniform noncrossing partition of [n]: a Dyck path by the cycle lemma, read by dyck_to_nc."""
+    steps = ["N"] * n + ["E"] * (n + 1)
+    rng.shuffle(steps)
+    height = low = start = 0
+    for i, s in enumerate(steps):
+        height += 1 if s == "N" else -1
+        if height < low:
+            low, start = height, i + 1
+    rotated = steps[start:] + steps[:start]
+    return dyck_to_nc(LatticePath("".join(rotated[:-1])))
+
+
+@pytest.mark.parametrize(
+    "family,cls,fwd,inv,clause",
+    [
+        ("nc_b", "nc_nn", phi_nc_b, phi_nc_b_inverse, type_clause_b),
+        ("nn_b", "nn_na", phi_nn_b, phi_nn_b_inverse, type_clause_nn_b),
+        ("nn_c", "nn_na", phi_nn_c, phi_nn_c_inverse, type_clause_nn_c),
+        ("nc_d", "nc_nn_pm", phi_nc_d, phi_nc_d_inverse, type_clause_nc_d),
+        ("nn_d", "nn_na_pm", phi_nn_d, phi_nn_d_inverse, type_clause_nn_d),
+    ],
+    ids=["nc_b", "nn_b", "nn_c", "nc_d", "nn_d"],
+)
+def test_random_large_roundtrip_and_type_clause(family, cls, fwd, inv, clause):
+    rng = random.Random(f"coxcat-{family}")
+    is_triple = cls.endswith("_pm")
+    for n in list(range(20, 41)) * 5:
+        sigma = _random_nc(rng, n - 1 if is_triple else n)
+        if cls.startswith("nn"):
+            sigma = rho(sigma, check=False)
+        special = nonnested_blocks(sigma) if cls[3:5] == "nn" else nonaligned_blocks(sigma)
+        marked = [b for b in special if rng.random() < 0.5]
+        if is_triple:
+            m = MarkedTriple.make(sigma, marked, rng.choice((-1, 0, 1)) if marked else 0)
+        else:
+            m = MarkedPair.make(sigma, marked)
+        p = inv(m)
+        assert is_member(p, family)
+        assert fwd(p) == m
+        assert signed_type(p) == tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
