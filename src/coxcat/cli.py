@@ -91,7 +91,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_count(args) -> int:
     if args.type is not None:
-        lam = tuple(int(x) for x in args.type.split(",") if x)
+        try:
+            lam = tuple(int(x) for x in args.type.split(",") if x)
+        except ValueError:
+            raise ValidationError(f"--type must be comma-separated integers, not {args.type!r}") from None
         fam = {"nc_a": "A", "nc_b": "B", "nc_d": "D"}.get(args.family)
         if fam is None:
             raise ValidationError("type counting applies to nc_a, nc_b and nc_d")

@@ -75,16 +75,34 @@ def type_of(p: SetPartition) -> tuple[int, ...]:
 
 
 def nonnested_blocks(p: SetPartition) -> tuple[Block, ...]:
-    """Blocks B with no edge (i, j) satisfying i < min(B) <= max(B) < j, sorted by maximum."""
-    es = edges(p)
-    out = [b for b in p.blocks if not any(i < b[0] and b[-1] < j for i, j in es)]
+    """Blocks B with no edge (i, j) satisfying i < min(B) <= max(B) < j, sorted by maximum.
+
+    One sweep over 1..n keeps the largest right end of an edge that starts
+    before the current element, so B is nonnested iff that prefix maximum,
+    read at min(B), does not pass max(B).  O(n), plus sorting the result.
+    p must be canonical: ascending blocks that partition [n].
+    """
+    right_end = [0] * (p.n + 1)  # right_end[i] = j for the edge (i, j), else 0
+    for b in p.blocks:
+        for i, j in zip(b, b[1:]):
+            right_end[i] = j
+    reach = [0] * (p.n + 1)  # reach[x] = max right end of an edge (i, j) with i < x
+    for x in range(1, p.n):
+        reach[x + 1] = max(reach[x], right_end[x])
+    out = [b for b in p.blocks if reach[b[0]] <= b[-1]]
     return tuple(sorted(out, key=lambda b: b[-1]))
 
 
 def nonaligned_blocks(p: SetPartition) -> tuple[Block, ...]:
-    """Blocks B with no edge (i, j) satisfying max(B) < i, sorted by maximum."""
-    es = edges(p)
-    out = [b for b in p.blocks if not any(i > b[-1] for i, j in es)]
+    """Blocks B with no edge (i, j) satisfying max(B) < i, sorted by maximum.
+
+    B is nonaligned iff max(B) is at least the largest left end of an edge,
+    which is the largest second-to-last element of a block.  O(n), plus
+    sorting the result.  p must be canonical: ascending blocks that
+    partition [n].
+    """
+    last_left = max((b[-2] for b in p.blocks if len(b) > 1), default=0)
+    out = [b for b in p.blocks if b[-1] >= last_left]
     return tuple(sorted(out, key=lambda b: b[-1]))
 
 
@@ -138,7 +156,11 @@ def _two_inside(outer: list[int], inner: list[int]) -> bool:
 
 
 def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list[Edge]:
-    """Position arcs of the standard representation with respect to the order."""
+    """Position arcs of the standard representation with respect to the order.
+
+    Each position is the left end of at most one arc and the right end of at
+    most one arc, which is what arcs_cross and arcs_nest rely on.
+    """
     pos = {x: i for i, x in enumerate(order)}
     arcs: list[Edge] = []
     for b in blocks:
@@ -148,26 +170,48 @@ def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list
 
 
 def arcs_cross(arcs: Sequence[Edge]) -> bool:
-    for (a, b), (c, d) in itertools.combinations(arcs, 2):
-        if a < c < b < d or c < a < d < b:
+    """Some two arcs (a, b), (c, d) satisfy a < c < b < d.
+
+    Scans the arcs by left end with a stack of the right ends still open,
+    innermost on top; the arc being added crosses an open one iff the top
+    closes strictly inside it.  O(k log k) for the sort, then O(k).  Left
+    ends must be distinct, as arcs_in_order guarantees: arcs sharing a left
+    end never cross, but this scan would report (1, 3), (1, 5) as crossing.
+    """
+    open_rights: list[int] = []
+    for a, b in sorted(arcs):
+        while open_rights and open_rights[-1] <= a:
+            open_rights.pop()
+        if open_rights and open_rights[-1] < b:
             return True
+        open_rights.append(b)
     return False
 
 
 def arcs_nest(arcs: Sequence[Edge]) -> bool:
-    for (a, b), (c, d) in itertools.combinations(arcs, 2):
-        if a < c < d < b or c < a < b < d:
-            return True
-    return False
+    """Some two arcs (a, b), (c, d) satisfy a < c < d < b.
+
+    With distinct left ends and distinct right ends, as arcs_in_order
+    guarantees, the arcs nest iff their right ends, read by left end, are
+    not in increasing order.  O(k log k) for the two sorts.
+    """
+    rights = [b for _, b in sorted(arcs)]
+    return rights != sorted(rights)
 
 
 def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:
-    """Arc test; agrees with the quadruple condition for the crossing pattern."""
+    """Arc test; agrees with the quadruple condition for the crossing pattern.
+
+    O(n log n) for n elements; order must list the ground set of the blocks.
+    """
     return not arcs_cross(arcs_in_order(_blocks_of(blocks), order))
 
 
 def nonnesting_wrt(blocks, order: Sequence[int]) -> bool:
-    """No two arcs of the standard representation nest."""
+    """No two arcs of the standard representation nest.
+
+    O(n log n) for n elements; order must list the ground set of the blocks.
+    """
     return not arcs_nest(arcs_in_order(_blocks_of(blocks), order))
 
 

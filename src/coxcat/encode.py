@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .core import (
@@ -412,12 +413,18 @@ class ShiftedTableau:
                 raise ValidationError(f"cell ({r},{c}) is not in the diagram")
         return t
 
+    @cached_property
+    def _labels(self) -> tuple[frozenset[int], frozenset[int]]:
+        # the south and east labels as sets, built once per tableau
+        return frozenset(self.south), frozenset(self.east)
+
     def cell_exists(self, r: int, c: int) -> bool:
-        if c not in set(self.east):
+        south, east = self._labels
+        if c not in east:
             return False
         if r < 0:
-            return -r in self.east and c >= -r
-        return r in self.south and c > r
+            return -r in east and c >= -r
+        return r in south and c > r
 
     def rows(self) -> list[int]:
         """Row labels from top to bottom."""
@@ -483,39 +490,40 @@ def f_map_inverse(t: ShiftedTableau, check: bool = True) -> MarkedPair:
 
 def tableau_validate(t: ShiftedTableau, kind: str) -> bool:
     """Check the permutation-tableau conditions, plus one 1 per column for the
-    Catalan kinds and the empty-corner condition for the D kind."""
+    Catalan kinds and the empty-corner condition for the D kind.
+
+    A 0 with a 1 to its left must have no 1 above it, and may not sit on
+    the diagonal of an added row; every column needs a 1.  One row-major
+    pass over the cells, with a "1 to the left" flag for the current row and
+    a count of 1s per column: O(cells) after sorting the n labels.  Only
+    cells of the diagram are read, so stray entries of t.ones are ignored.
+    """
     if kind not in ("PT_B", "CT_B", "CT_D"):
         raise ValidationError(f"unknown tableau kind {kind!r}")
     rows = t.rows()
     cols = t.columns()
     filled = t.ones
-    for c in cols:
-        col_cells = [(r, c) for r in rows if t.cell_exists(r, c)]
-        count = sum(1 for cell in col_cells if cell in filled)
-        if count < 1:
+    ones_in_col = dict.fromkeys(cols, 0)
+    row_len = 0  # ends as the length of the bottom row
+    for r in rows:
+        one_left = False
+        row_len = 0
+        for c in cols:
+            if not t.cell_exists(r, c):
+                break  # the cells of a row are a prefix of the columns
+            row_len += 1
+            if (r, c) in filled:
+                one_left = True
+                ones_in_col[c] += 1
+            elif one_left and (r == -c or ones_in_col[c]):
+                return False  # a diagonal 0, or a 0 with 1s to its left and above
+    if kind == "PT_B":
+        if not all(ones_in_col.values()):
             return False
-        if kind in ("CT_B", "CT_D") and count != 1:
-            return False
-    for ri, r in enumerate(rows):
-        for ci, c in enumerate(cols):
-            if not t.cell_exists(r, c) or (r, c) in filled:
-                continue
-            one_left = any(
-                (r, c2) in filled for c2 in cols[:ci] if t.cell_exists(r, c2)
-            )
-            if not one_left:
-                continue
-            if r < 0 and c == -r:
-                return False  # a diagonal 0 with a 1 to its left
-            one_above = any(
-                (r2, c) in filled for r2 in rows[:ri] if t.cell_exists(r2, c)
-            )
-            if one_above:
-                return False
-    if kind == "CT_D" and cols:
-        bottom = rows[-1]
-        if t.row_cells(bottom) and (-cols[0], cols[0]) in filled:
-            return False
+    elif any(k != 1 for k in ones_in_col.values()):
+        return False
+    if kind == "CT_D" and row_len and (-cols[0], cols[0]) in filled:
+        return False
     return True
 
 

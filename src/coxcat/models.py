@@ -165,7 +165,7 @@ def enumerate_family(family: str, n: int, constructive: bool = False):
     For nc_b, constructive=True builds members through the marked-pair
     bijection instead of filtering all signed partitions.
     """
-    _check_n(n)
+    _check_n(n, _LEAST_N.get(family, 0))
     if family == "nc_a":
         items = list(noncrossing_partitions(n))
     elif family == "nn_a":
@@ -286,6 +286,10 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+# The least n of each family's domain; elsewhere n = 0 gives the one empty object.
+_LEAST_N = {"nc_d": 1, "nn_d": 1}
+
+
 def _check_n(n: int, least: int = 0) -> None:
     if n < least:
         raise ValidationError(f"n must be >= {least}")
@@ -293,7 +297,7 @@ def _check_n(n: int, least: int = 0) -> None:
 
 def count_family(family: str, n: int) -> int:
     """Closed-form cardinality of a family."""
-    _check_n(n)
+    _check_n(n, _LEAST_N.get(family, 0))
     if family in ("nc_a", "nn_a"):
         return catalan(n)
     if family == "pi_b":
@@ -301,7 +305,6 @@ def count_family(family: str, n: int) -> int:
     if family in ("nc_b", "nn_b", "nn_c"):
         return math.comb(2 * n, n)
     if family in ("nc_d", "nn_d"):
-        _check_n(n, 1)
         return _exact_div((3 * n - 2) * math.comb(2 * n - 2, n - 1), n)
     raise ValidationError(f"unknown family {family!r}")
 
@@ -329,12 +332,15 @@ def count_by_type(family: str, n: int, lam: Iterable[int]) -> int:
     if fam == "A":
         if total != n:
             raise ValidationError("type A requires the parts to sum to n")
+        if not lam:
+            return 1  # the empty partition, at n = 0
         return _exact_div(math.perm(n, ell - 1), m)
     if fam == "B":
         if total > n:
             raise ValidationError("type B requires the parts to sum to at most n")
         return _exact_div(math.perm(n, ell), m)
     if fam == "D":
+        _check_n(n, 1)
         if total > n:
             raise ValidationError("type D requires the parts to sum to at most n")
         if total == n - 1:

@@ -48,7 +48,7 @@ class SignedPartition:
         block_set = set(canon)
         zero_count = 0
         for b in canon:
-            neg = tuple(sorted(-x for x in b))
+            neg = tuple(-x for x in reversed(b))  # b is ascending, so neg is too
             if neg not in block_set:
                 raise ValidationError(f"mirror of block {b} is missing")
             if neg == b:
@@ -226,7 +226,9 @@ def involutions(n: int) -> int:
 
 
 def count_signed(n: int) -> int:
-    """Number of signed partitions of [+-n], computed exactly."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    """Number of signed partitions of [+-n], computed exactly; 1 at n = 0."""
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    if n == 0:
+        return 1  # the empty signed partition
     return sum(stirling2(n, k) * involutions(k + 1) for k in range(1, n + 1))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coxcat
 from coxcat.cli import main
 from coxcat.core import SetPartition
 from coxcat.encode import LatticePath, ShiftedTableau, f_map
@@ -89,6 +93,9 @@ def test_map_bad_json(capsys, monkeypatch):
         ["enumerate", "--family", "nc_b", "--n", "-2"],
         ["enumerate", "--family", "pi_b", "--n", "-1"],
         ["enumerate", "--family", "nc_a", "--n", "-1", "--count-only"],
+        ["enumerate", "--family", "nc_d", "--n", "0"],
+        ["enumerate", "--family", "nn_d", "--n", "0", "--count-only"],
+        ["count", "--family", "nc_d", "--n", "0", "--type", ""],
     ],
 )
 def test_out_of_domain_n_exit_code(capsys, args):
@@ -116,6 +123,25 @@ def test_out_of_domain_n_exit_code(capsys, args):
 def test_map_rejects_mistyped_json(capsys, monkeypatch, name, payload):
     code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin=payload, monkeypatch=monkeypatch)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--family", "nc_d", "--n", "0", "--type", ""],
+        ["count", "--family", "nc_b", "--n", "3", "--type", "2,x"],
+    ],
+)
+def test_count_bad_type_exits_without_traceback(args):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_count_empty_type_at_n0(capsys):
+    code, out, _ = run_cli(capsys, ["count", "--family", "nc_a", "--n", "0", "--type", ""])
+    assert code == 0 and out.strip() == "1"
 
 
 def test_count_with_type(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,18 +8,24 @@ from coxcat.core import (
     EMPTY,
     SetPartition,
     ValidationError,
+    arcs_cross,
+    arcs_in_order,
+    arcs_nest,
     edges,
     nonaligned_blocks,
     nonnested_blocks,
     noncrossing_partitions,
     noncrossing_wrt,
     nonnesting_partitions,
+    nonnesting_wrt,
     partitions,
     pattern_free,
     slice_partition,
     special_blocks,
     type_of,
 )
+from coxcat.models import _with_zero_element, order_nc_b, order_nn_b, order_nn_c
+from coxcat.signed import enumerate_signed
 
 sp = SetPartition.from_blocks
 FIG2 = sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]])
@@ -164,3 +171,79 @@ def test_crossing_check_under_random_orders(p, rnd):
     order = list(range(1, p.n + 1))
     rnd.shuffle(order)
     assert pattern_free(p, tuple(order), "crossing") == noncrossing_wrt(p, tuple(order))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the pairwise and per-block definitions the linear
+# kernels replace.
+
+
+def _arcs_cross_pairwise(arcs):
+    for (a, b), (c, d) in itertools.combinations(arcs, 2):
+        if a < c < b < d or c < a < d < b:
+            return True
+    return False
+
+
+def _arcs_nest_pairwise(arcs):
+    for (a, b), (c, d) in itertools.combinations(arcs, 2):
+        if a < c < d < b or c < a < b < d:
+            return True
+    return False
+
+
+def _nonnested_by_definition(p):
+    es = edges(p)
+    out = [b for b in p.blocks if not any(i < b[0] and b[-1] < j for i, j in es)]
+    return tuple(sorted(out, key=lambda b: b[-1]))
+
+
+def _nonaligned_by_definition(p):
+    es = edges(p)
+    out = [b for b in p.blocks if not any(i > b[-1] for i, j in es)]
+    return tuple(sorted(out, key=lambda b: b[-1]))
+
+
+def _assert_arc_tests_agree(blocks, order):
+    arcs = arcs_in_order(getattr(blocks, "blocks", blocks), order)
+    assert arcs_cross(arcs) == _arcs_cross_pairwise(arcs)
+    assert arcs_nest(arcs) == _arcs_nest_pairwise(arcs)
+    assert noncrossing_wrt(blocks, order) == pattern_free(blocks, order, "crossing")
+    assert nonnesting_wrt(blocks, order) == (not _arcs_nest_pairwise(arcs))
+
+
+def test_arc_tests_match_pairwise_oracle_under_random_orders():
+    rng = random.Random("coxcat-arcs")
+    for n in range(8):
+        identity = list(range(1, n + 1))
+        for p in partitions(n):
+            _assert_arc_tests_agree(p, identity)
+            for _ in range(3):
+                order = identity[:]
+                rng.shuffle(order)
+                _assert_arc_tests_agree(p, order)
+
+
+def test_arc_tests_match_pairwise_oracle_under_type_b_orders():
+    # every partition of a ground set of size <= 7, relabeled onto each
+    # type-B order of that size, then the signed partitions themselves
+    for m in range(8):
+        k = m // 2
+        b_orders = [order_nn_b(k)] if m % 2 else [order_nc_b(k), order_nn_c(k)]
+        for order in b_orders:
+            rank = {x: i + 1 for i, x in enumerate(sorted(order))}
+            relabeled = [rank[x] for x in order]
+            for p in partitions(m):
+                _assert_arc_tests_agree(p, relabeled)
+    for n in range(4):
+        for p in enumerate_signed(n):
+            _assert_arc_tests_agree(p, order_nc_b(n))
+            _assert_arc_tests_agree(p, order_nn_c(n))
+            _assert_arc_tests_agree(_with_zero_element(p), order_nn_b(n))
+
+
+def test_special_blocks_match_definitions_exhaustively():
+    for n in range(10):
+        for p in partitions(n):
+            assert nonnested_blocks(p) == _nonnested_by_definition(p)
+            assert nonaligned_blocks(p) == _nonaligned_by_definition(p)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxcat.core import SetPartition, ValidationError, noncrossing_partitions
+from coxcat.core import SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks
 from coxcat.encode import (
     BPair,
     DPair,
@@ -33,6 +35,7 @@ from coxcat.encode import (
     varphi_d,
     varphi_d_inverse,
 )
+from coxcat.interpret import phi_nc_b_inverse, phi_nc_d_inverse
 from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, marked_pairs, marked_triples
 from coxcat.signed import SignedPartition
 
@@ -204,3 +207,126 @@ def test_ct_d_iff_top_not_marked():
 def test_catalan_tableaux_counts():
     for n in range(1, 6):
         assert sum(1 for _ in catalan_tableaux(n, "CT_B")) == math.comb(2 * n, n)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the cell-by-cell rescan that the one-pass
+# tableau_validate replaced, with its own cell test.
+
+
+def _cell_exists_reference(t, r, c):
+    if c not in set(t.east):
+        return False
+    if r < 0:
+        return -r in t.east and c >= -r
+    return r in t.south and c > r
+
+
+def _tableau_validate_reference(t, kind):
+    rows = t.rows()
+    cols = t.columns()
+    filled = t.ones
+    for c in cols:
+        col_cells = [(r, c) for r in rows if _cell_exists_reference(t, r, c)]
+        count = sum(1 for cell in col_cells if cell in filled)
+        if count < 1:
+            return False
+        if kind in ("CT_B", "CT_D") and count != 1:
+            return False
+    for ri, r in enumerate(rows):
+        for ci, c in enumerate(cols):
+            if not _cell_exists_reference(t, r, c) or (r, c) in filled:
+                continue
+            one_left = any(
+                (r, c2) in filled for c2 in cols[:ci] if _cell_exists_reference(t, r, c2)
+            )
+            if not one_left:
+                continue
+            if r < 0 and c == -r:
+                return False
+            one_above = any(
+                (r2, c) in filled for r2 in rows[:ri] if _cell_exists_reference(t, r2, c)
+            )
+            if one_above:
+                return False
+    if kind == "CT_D" and cols:
+        bottom = rows[-1]
+        if any(_cell_exists_reference(t, bottom, c) for c in cols) and (-cols[0], cols[0]) in filled:
+            return False
+    return True
+
+
+def test_tableau_validate_matches_reference_on_every_filling():
+    cases = 0
+    for n in range(5):
+        for r in range(n + 1):
+            for south in itertools.combinations(range(1, n + 1), r):
+                east = sorted(set(range(1, n + 1)) - set(south))
+                shell = ShiftedTableau.make(south, east, ())
+                cells = [(rr, c) for rr in shell.rows() for c in shell.row_cells(rr)]
+                for rr in shell.rows():  # the one-pass scan reads each row as a prefix of the columns
+                    assert shell.row_cells(rr) == shell.columns()[: len(shell.row_cells(rr))]
+                for bits in itertools.product((False, True), repeat=len(cells)):
+                    ones = frozenset(cell for cell, on in zip(cells, bits) if on)
+                    t = ShiftedTableau.make(south, east, ones, n)
+                    # entries outside the diagram are ignored, as before
+                    stray = ShiftedTableau(n, t.south, t.east, ones | {(0, 0), (n + 1, n + 2)})
+                    for kind in ("PT_B", "CT_B", "CT_D"):
+                        want = _tableau_validate_reference(t, kind)
+                        assert tableau_validate(t, kind) == want
+                        assert tableau_validate(stray, kind) == want
+                        cases += 1
+    assert cases == 3 * 2449  # every filling of every shape with n <= 4, three kinds
+
+
+# ---------------------------------------------------------------------------
+# Large-n round trips on random noncrossing partitions
+
+
+@st.composite
+def large_noncrossing(draw, lo=20, hi=60):
+    """A noncrossing partition of [n], n in [lo, hi]: a shuffled word of n N's
+    and n + 1 E's, rotated to a Dyck path (cycle lemma) and read by dyck_to_nc."""
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    steps = draw(st.permutations("N" * n + "E" * (n + 1)))
+    height = low = start = 0
+    for i, s in enumerate(steps):
+        height += 1 if s == "N" else -1
+        if height < low:
+            low, start = height, i + 1
+    rotated = steps[start:] + steps[:start]
+    return dyck_to_nc(LatticePath("".join(rotated[:-1])))
+
+
+@st.composite
+def large_marked_pairs(draw):
+    sigma = draw(large_noncrossing())
+    special = nonnested_blocks(sigma)
+    keep = draw(st.lists(st.booleans(), min_size=len(special), max_size=len(special)))
+    return MarkedPair.make(sigma, [b for b, k in zip(special, keep) if k])
+
+
+@st.composite
+def large_marked_triples(draw):
+    m = draw(large_marked_pairs())
+    epsilon = draw(st.sampled_from((-1, 0, 1))) if m.marked else 0
+    return MarkedTriple.make(m.sigma, m.marked, epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_marked_pairs())
+def test_large_marked_pair_roundtrips(m):
+    t = f_map(m, check=True)
+    assert tableau_validate(t, "CT_B")
+    assert f_map_inverse(t, check=True) == m
+    assert g_map_inverse(g_map(m, check=True)) == m
+    p = phi_nc_b_inverse(m, check=True)
+    assert psi_b_inverse(psi_b(p, check=True), check=True) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_marked_triples())
+def test_large_marked_triple_roundtrips(t):
+    assert kappa_inverse(kappa(t, check=True), check=True) == t
+    p = phi_nc_d_inverse(t, check=True)
+    assert psi_d_inverse(psi_d(p, check=True), check=True) == p

@@ -4,6 +4,7 @@ import pytest
 
 from coxcat.core import SetPartition, ValidationError
 from coxcat.models import (
+    FAMILIES,
     MarkedPair,
     MarkedTriple,
     count_by_type,
@@ -110,6 +111,8 @@ def test_marked_class_sizes():
         ("D", 4, (3,), 0),
         ("A", 4, (4,), 1),
         ("B", 3, (), 1),
+        ("A", 0, (), 1),
+        ("B", 0, (), 1),
     ],
 )
 def test_count_by_type_examples(family, n, lam, expected):
@@ -124,6 +127,26 @@ def test_count_by_type_validation():
         count_by_type("B", 2, (2, 2))
     with pytest.raises(ValidationError):
         count_by_type("A", 3, (0, 3))
+
+
+def test_count_by_type_type_d_needs_positive_n():
+    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+        count_by_type("D", 0, ())
+    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+        count_by_type("D", -1, (1,))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_count_agrees_with_enumeration_over_domain(family):
+    least = 1 if family in ("nc_d", "nn_d") else 0
+    for n in range(-1, 6):
+        if n < least:
+            with pytest.raises(ValidationError, match=f"^n must be >= {least}$"):
+                count_family(family, n)
+            with pytest.raises(ValidationError, match=f"^n must be >= {least}$"):
+                enumerate_family(family, n)
+        else:
+            assert count_family(family, n) == len(enumerate_family(family, n))
 
 
 def test_count_by_type_matches_enumeration():

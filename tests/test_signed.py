@@ -91,6 +91,12 @@ def test_counting_formula():
     assert involutions(7) == 232
 
 
+def test_count_signed_domain():
+    assert count_signed(0) == 1 == sum(1 for _ in enumerate_signed(0))
+    with pytest.raises(ValidationError):
+        count_signed(-1)
+
+
 def test_enumeration_matches_count_and_is_duplicate_free():
     for n in range(1, 6):
         seen = set()
