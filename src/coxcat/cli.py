@@ -77,7 +77,7 @@ MAPS = {
 
 
 def cmd_enumerate(args) -> int:
-    items = models.enumerate_family(args.family, args.n, constructive=args.constructive)
+    items = models.enumerate_family(args.family, args.n)
     if args.count_only:
         print(len(items))
         return 0
@@ -95,7 +95,7 @@ def cmd_count(args) -> int:
             lam = tuple(int(x) for x in args.type.split(",") if x)
         except ValueError:
             raise ValidationError(f"--type must be comma-separated integers, not {args.type!r}") from None
-        fam = {"nc_a": "A", "nc_b": "B", "nc_d": "D"}.get(args.family)
+        fam = {f: t for t, f in models.TYPE_FAMILIES.items()}.get(args.family)
         if fam is None:
             raise ValidationError("type counting applies to nc_a, nc_b and nc_d")
         print(models.count_by_type(fam, args.n, lam))
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=models.FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--constructive", action="store_true", help="build nc_b through the marked-pair bijection")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("count", help="closed-form cardinalities and type counts")

@@ -23,7 +23,7 @@ from .core import (
     noncrossing_partitions,
     nonnested_blocks,
 )
-from .interpret import phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
+from .interpret import _pairs, phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
 from .models import MarkedPair, MarkedTriple, is_member, validate_marked
 from .signed import SignedPartition
 
@@ -67,13 +67,10 @@ def _check_xslot(sigma: SetPartition, x: XSlot, allow_int: bool) -> None:
 
 
 def _merge_first_last(m: MarkedPair) -> SetPartition:
-    x = m.marked
-    merged = {b: b for b in m.sigma.blocks}
-    for i in range(len(x) // 2):
-        merged[x[i]] = None
-        merged[x[-1 - i]] = None
-    blocks = [b for b, keep in merged.items() if keep is not None]
-    blocks += [tuple(sorted(x[i] + x[-1 - i])) for i in range(len(x) // 2)]
+    """Unite each pair of marks that the type-B inverse pairs; a held mark stays whole."""
+    marked = set(m.marked)
+    blocks = [b for b in m.sigma.blocks if b not in marked]
+    blocks += [tuple(sorted(set(a1 + a2))) for a1, a2 in _pairs("nc_b", m)]
     return SetPartition.from_blocks(blocks, m.sigma.n)
 
 

@@ -3,7 +3,8 @@
 Families are named nc_a, nn_a, pi_b, nc_b, nc_d, nn_b, nn_c, nn_d.  Signed
 memberships read the family's row of SIGNED_FAMILIES: the standard
 representation must avoid the pattern in the family's total order, and the D
-families are decided through their marked-triple bijection.
+families are decided through their marked-triple bijection.  Signed families
+are enumerated through their inverse bijection; filtering is the oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -154,16 +156,12 @@ def _is_member_d(p: SignedPartition, family: str) -> bool:
     return interpret._inverse(family, triple, check=False) == p
 
 
-def _canonical_key(p) -> tuple:
-    return p.blocks
-
-
 @functools.lru_cache(maxsize=64)
-def enumerate_family(family: str, n: int, constructive: bool = False):
+def enumerate_family(family: str, n: int):
     """All members, sorted by canonical serialization.
 
-    For nc_b, constructive=True builds members through the marked-pair
-    bijection instead of filtering all signed partitions.
+    A signed family is built as the image of its marked class under the
+    inverse bijection of its SIGNED_FAMILIES row.
     """
     _check_n(n, _LEAST_N.get(family, 0))
     if family == "nc_a":
@@ -172,19 +170,14 @@ def enumerate_family(family: str, n: int, constructive: bool = False):
         items = list(nonnesting_partitions(n))
     elif family == "pi_b":
         items = list(enumerate_signed(n))
-    elif family == "nc_b" and constructive:
+    elif family in SIGNED_FAMILIES:
         # interpret builds its maps on this module, so it is imported at call time
-        from .interpret import phi_nc_b_inverse
+        from .interpret import _inverse
 
-        items = [
-            phi_nc_b_inverse(m, check=False)
-            for m in marked_pairs(n, "nc_nn")
-        ]
-    elif family in FAMILIES:
-        items = [p for p in enumerate_signed(n) if is_member(p, family)]
+        items = [_inverse(family, m, check=False) for m in marked_domain(family, n)]
     else:
         raise ValidationError(f"unknown family {family!r}")
-    return tuple(sorted(items, key=_canonical_key))
+    return tuple(sorted(items, key=lambda p: p.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +264,14 @@ def marked_triples(n: int, cls_name: str) -> Iterator[MarkedTriple]:
             yield MarkedTriple(pair.sigma, pair.marked, eps)
 
 
+def marked_domain(family: str, n: int) -> Iterator[MarkedPair | MarkedTriple]:
+    """The marked pairs or triples in bijection with a signed family at rank n."""
+    cls_name = SIGNED_FAMILIES[family].marked
+    if cls_name in MARKED_TRIPLE_CLASSES:
+        return marked_triples(n - 1, cls_name)
+    return marked_pairs(n, cls_name)
+
+
 # ---------------------------------------------------------------------------
 # Counting formulas
 
@@ -323,8 +324,20 @@ def _m_lambda(lam: tuple[int, ...]) -> int:
     return out
 
 
+# The noncrossing family whose members are counted by block-size type, per type letter.
+TYPE_FAMILIES = {"A": "nc_a", "B": "nc_b", "D": "nc_d"}
+
+
+def _type_family(family: str) -> str:
+    fam = TYPE_FAMILIES.get(family.upper())
+    if fam is None:
+        raise ValidationError(f"unknown type family {family!r}")
+    return fam
+
+
 def count_by_type(family: str, n: int, lam: Iterable[int]) -> int:
     """Number of noncrossing partitions of the family with block-size type lam."""
+    _check_n(n, _LEAST_N.get(_type_family(family), 0))
     lam = _normalize_type(lam)
     total, ell = sum(lam), len(lam)
     m = _m_lambda(lam)
@@ -339,34 +352,22 @@ def count_by_type(family: str, n: int, lam: Iterable[int]) -> int:
         if total > n:
             raise ValidationError("type B requires the parts to sum to at most n")
         return _exact_div(math.perm(n, ell), m)
-    if fam == "D":
-        _check_n(n, 1)
-        if total > n:
-            raise ValidationError("type D requires the parts to sum to at most n")
-        if total == n - 1:
-            return 0
-        if total == n:
-            m1 = sum(1 for x in lam if x == 1)
-            return _exact_div((m1 + 2 * (n - ell)) * math.perm(n - 1, ell - 1), m)
-        return _exact_div(math.perm(n - 1, ell), m)
-    raise ValidationError(f"unknown type family {family!r}")
+    if total > n:
+        raise ValidationError("type D requires the parts to sum to at most n")
+    if total == n - 1:
+        return 0
+    if total == n:
+        m1 = sum(1 for x in lam if x == 1)
+        return _exact_div((m1 + 2 * (n - ell)) * math.perm(n - 1, ell - 1), m)
+    return _exact_div(math.perm(n - 1, ell), m)
 
 
 @functools.lru_cache(maxsize=64)
 def type_census(family: str, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Counts of members by block-size type, from one full enumeration."""
-    fam = family.upper()
-    counts: dict[tuple[int, ...], int] = {}
-    if fam == "A":
-        for p in noncrossing_partitions(n):
-            t = type_of(p)
-            counts[t] = counts.get(t, 0) + 1
-    else:
-        fam_name = {"B": "nc_b", "D": "nc_d"}[fam]
-        for p in enumerate_family(fam_name, n):
-            t = signed_type(p)
-            counts[t] = counts.get(t, 0) + 1
-    return tuple(sorted(counts.items()))
+    fam = _type_family(family)
+    type_fn = type_of if fam in UNSIGNED_FAMILIES else signed_type
+    return tuple(sorted(Counter(type_fn(p) for p in enumerate_family(fam, n)).items()))
 
 
 def exhaustive_count_by_type(family: str, n: int, lam: Iterable[int]) -> int:

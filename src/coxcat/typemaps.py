@@ -356,13 +356,13 @@ def nc_to_nn(family: str, p: SignedPartition) -> SignedPartition:
     """Type-preserving bijection from the noncrossing to the nonnesting family."""
     fam = family.upper()
     if fam == "B":
-        m = iota_b(phi_nc_b(p))
+        m = iota_b(phi_nc_b(p), check=False)
         return phi_nn_b_inverse(rho_bar(xi_bar(m, check=False), check=False), check=False)
     if fam == "C":
         m = phi_nc_b(p)
         return phi_nn_c_inverse(rho_bar(xi_bar(m, check=False), check=False), check=False)
     if fam == "D":
-        t = iota_d(phi_nc_d(p))
+        t = iota_d(phi_nc_d(p), check=False)
         pair = rho_bar(xi_bar(t.pair, check=False), check=False)
         return phi_nn_d_inverse(MarkedTriple(pair.sigma, pair.marked, t.epsilon), check=False)
     raise ValidationError(f"unknown family {family!r}")
@@ -371,10 +371,10 @@ def nc_to_nn(family: str, p: SignedPartition) -> SignedPartition:
 def nn_to_nc(family: str, p: SignedPartition) -> SignedPartition:
     fam = family.upper()
     if fam == "B":
-        m = xi_bar_inverse(rho_bar_inverse(phi_nn_b(p)), check=False)
+        m = xi_bar_inverse(rho_bar_inverse(phi_nn_b(p), check=False), check=False)
         return phi_nc_b_inverse(iota_b_inverse(m, check=False), check=False)
     if fam == "C":
-        m = xi_bar_inverse(rho_bar_inverse(phi_nn_c(p)), check=False)
+        m = xi_bar_inverse(rho_bar_inverse(phi_nn_c(p), check=False), check=False)
         return phi_nc_b_inverse(m, check=False)
     if fam == "D":
         t = phi_nn_d(p)

@@ -162,11 +162,12 @@ def suite_models(max_n: int) -> list[Check]:
 
     ok = True
     for n in range(1, _cap(6, max_n) + 1):
-        filtered = enumerate_family("nc_b", n)
-        constructive = enumerate_family("nc_b", n, constructive=True)
-        if filtered != constructive:
-            ok = False
-    out.append(_check("models", "filter and constructive type-B enumerations agree", ok))
+        signed = list(enumerate_signed(n))
+        for fam in models.SIGNED_FAMILIES:
+            filtered = sorted((p for p in signed if models.is_member(p, fam)), key=lambda p: p.blocks)
+            if enumerate_family(fam, n) != tuple(filtered):
+                ok = False
+    out.append(_check("models", "bijective enumerations agree with filtering signed partitions", ok))
 
     ok = True
     for n in range(1, _cap(6, max_n) + 1):
@@ -223,10 +224,7 @@ def suite_interpret(max_n: int) -> list[Check]:
         branch_seen = set()
         for n in range(1, _cap(6, max_n) + 1):
             members = enumerate_family(fam, n)
-            if is_d:
-                domain = list(marked_triples(n - 1, spec.marked))
-            else:
-                domain = list(marked_pairs(n, spec.marked))
+            domain = list(models.marked_domain(fam, n))
             imgs = []
             for p in members:
                 m = fwd(p, check=False)

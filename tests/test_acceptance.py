@@ -81,7 +81,7 @@ def test_criterion_03_type_b_counts():
             ok &= is_member(p, "nc_b")
             members.add(p)
         ok &= len(members) == target
-    report(3, ok, "type-B family counts are central binomials (filter n <= 6, pair bijection n <= 9)")
+    report(3, ok, "type-B family counts are central binomials (bijective enumeration n <= 6, pair bijection n <= 9)")
 
 
 def test_criterion_04_type_d_counts():

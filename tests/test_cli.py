@@ -96,6 +96,7 @@ def test_map_bad_json(capsys, monkeypatch):
         ["enumerate", "--family", "nc_d", "--n", "0"],
         ["enumerate", "--family", "nn_d", "--n", "0", "--count-only"],
         ["count", "--family", "nc_d", "--n", "0", "--type", ""],
+        ["count", "--family", "nc_a", "--n", "-1", "--type", ""],
     ],
 )
 def test_out_of_domain_n_exit_code(capsys, args):

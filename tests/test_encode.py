@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import large_marked_pairs, large_marked_triples
+from hypothesis import given, settings
 
-from coxcat.core import SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks
+from coxcat.core import SetPartition, ValidationError, noncrossing_partitions
 from coxcat.encode import (
     BPair,
     DPair,
@@ -281,36 +282,6 @@ def test_tableau_validate_matches_reference_on_every_filling():
 
 # ---------------------------------------------------------------------------
 # Large-n round trips on random noncrossing partitions
-
-
-@st.composite
-def large_noncrossing(draw, lo=20, hi=60):
-    """A noncrossing partition of [n], n in [lo, hi]: a shuffled word of n N's
-    and n + 1 E's, rotated to a Dyck path (cycle lemma) and read by dyck_to_nc."""
-    n = draw(st.integers(min_value=lo, max_value=hi))
-    steps = draw(st.permutations("N" * n + "E" * (n + 1)))
-    height = low = start = 0
-    for i, s in enumerate(steps):
-        height += 1 if s == "N" else -1
-        if height < low:
-            low, start = height, i + 1
-    rotated = steps[start:] + steps[:start]
-    return dyck_to_nc(LatticePath("".join(rotated[:-1])))
-
-
-@st.composite
-def large_marked_pairs(draw):
-    sigma = draw(large_noncrossing())
-    special = nonnested_blocks(sigma)
-    keep = draw(st.lists(st.booleans(), min_size=len(special), max_size=len(special)))
-    return MarkedPair.make(sigma, [b for b, k in zip(special, keep) if k])
-
-
-@st.composite
-def large_marked_triples(draw):
-    m = draw(large_marked_pairs())
-    epsilon = draw(st.sampled_from((-1, 0, 1))) if m.marked else 0
-    return MarkedTriple.make(m.sigma, m.marked, epsilon)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,8 @@
 """Module layering: no import deferred into a function body but the one real cycle.
 
 interpret builds its maps on models, while models decides type-D membership
-and builds nc_b constructively through interpret, so models imports interpret
-at call time.  Every other import sits at module top.
+and enumerates every signed family through interpret's inverse bijections, so
+models imports interpret at call time.  Every other import sits at module top.
 """
 
 import ast

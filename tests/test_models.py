@@ -5,6 +5,7 @@ import pytest
 from coxcat.core import SetPartition, ValidationError
 from coxcat.models import (
     FAMILIES,
+    SIGNED_FAMILIES,
     MarkedPair,
     MarkedTriple,
     count_by_type,
@@ -16,7 +17,7 @@ from coxcat.models import (
     marked_triples,
     validate_marked,
 )
-from coxcat.signed import SignedPartition
+from coxcat.signed import SignedPartition, enumerate_signed
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
@@ -70,9 +71,12 @@ def test_enumeration_is_sorted_canonically():
     assert list(items) == sorted(items, key=lambda p: p.blocks)
 
 
-def test_constructive_route_matches_filter():
-    for n in range(1, 6):
-        assert enumerate_family("nc_b", n) == enumerate_family("nc_b", n, constructive=True)
+@pytest.mark.parametrize("family", SIGNED_FAMILIES)
+def test_enumeration_matches_filter_oracle(family):
+    least = 1 if family in ("nc_d", "nn_d") else 0
+    for n in range(least, 7):
+        filtered = sorted((p for p in enumerate_signed(n) if is_member(p, family)), key=lambda p: p.blocks)
+        assert enumerate_family(family, n) == tuple(filtered)
 
 
 def test_validate_marked():
@@ -127,6 +131,15 @@ def test_count_by_type_validation():
         count_by_type("B", 2, (2, 2))
     with pytest.raises(ValidationError):
         count_by_type("A", 3, (0, 3))
+    for fn in (count_by_type, exhaustive_count_by_type):
+        with pytest.raises(ValidationError, match="unknown type family"):
+            fn("E", 3, ())
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_count_by_type_negative_n(family):
+    with pytest.raises(ValidationError, match="^n must be >= 0$"):
+        count_by_type(family, -1, ())
 
 
 def test_count_by_type_type_d_needs_positive_n():

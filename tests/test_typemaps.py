@@ -1,4 +1,6 @@
 import pytest
+from conftest import large_marked_pairs, large_marked_triples, large_noncrossing
+from hypothesis import given, settings, strategies as st
 
 from coxcat.core import (
     EMPTY,
@@ -10,6 +12,7 @@ from coxcat.core import (
     nonnested_blocks,
     type_of,
 )
+from coxcat.interpret import phi_nc_b_inverse, phi_nc_d_inverse
 from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, marked_pairs
 from coxcat.signed import SignedPartition, signed_type, zero_block_size
 from coxcat.typemaps import (
@@ -198,3 +201,65 @@ def test_composed_map_type_oracle_fig4():
     assert is_member(q, "nn_b")
     assert signed_type(q) == (4, 2, 1, 1)
     assert zero_block_size(q) == 4
+
+
+CROSSED = SignedPartition.from_blocks([[1, 3], [-1, -3], [2, -2]])
+OUTSIDE_ALL_NN = SignedPartition.from_blocks([[1, -2], [-1, 2], [3, -3]])
+
+
+@pytest.mark.parametrize(
+    "name,family,p,message",
+    [
+        pytest.param("nc_to_nn", "B", CROSSED, "not a type-B noncrossing partition", id="nc_to_nn_b"),
+        pytest.param("nc_to_nn", "C", CROSSED, "not a type-B noncrossing partition", id="nc_to_nn_c"),
+        pytest.param("nc_to_nn", "D", CROSSED, "not a type-D noncrossing partition", id="nc_to_nn_d"),
+        pytest.param("nn_to_nc", "B", OUTSIDE_ALL_NN, "not a type-B nonnesting partition", id="nn_to_nc_b"),
+        pytest.param("nn_to_nc", "C", OUTSIDE_ALL_NN, "not a type-C nonnesting partition", id="nn_to_nc_c"),
+        pytest.param("nn_to_nc", "D", OUTSIDE_ALL_NN, "not a type-D nonnesting partition", id="nn_to_nc_d"),
+    ],
+)
+def test_composed_maps_reject_partitions_outside_the_source(name, family, p, message):
+    fn = {"nc_to_nn": nc_to_nn, "nn_to_nc": nn_to_nc}[name]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        fn(family, p)
+
+
+# ---------------------------------------------------------------------------
+# Large-n properties on random noncrossing partitions and marked objects
+
+
+def _profile(p):
+    return sorted((b[-1], len(b)) for b in p.blocks)
+
+
+def _assert_composed_roundtrip(family, p):
+    q = nc_to_nn(family, p)
+    assert signed_type(q) == signed_type(p)
+    assert zero_block_size(q) == zero_block_size(p)
+    assert nn_to_nc(family, q) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(large_noncrossing())
+def test_large_rho_and_xi(p):
+    q = rho(p, check=True)
+    assert _profile(q) == _profile(p)
+    assert rho_inverse(q, check=True) == p
+    r = xi(p, check=True)
+    assert type_of(r) == type_of(p)
+    assert xi(r, check=True) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(large_marked_pairs(), st.sampled_from("BC"))
+def test_large_iota_b_and_composed_b_c(m, family):
+    assert iota_b_inverse(iota_b(m, check=True), check=True) == m
+    _assert_composed_roundtrip(family, phi_nc_b_inverse(m, check=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(large_marked_triples())
+def test_large_iota_d_and_composed_d(t):
+    assert iota_d_inverse(iota_d(t, check=True), check=True) == t
+    _assert_composed_roundtrip("D", phi_nc_d_inverse(t, check=True))
+
