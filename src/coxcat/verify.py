@@ -1,22 +1,33 @@
-"""Exhaustive desk-scale verification suites.
+"""Exhaustive desk-scale verification, declared as one registry of checks.
 
-Each suite returns a list of named checks with pass/fail results.  A check
-carries its own instance-size bound; running with max_n below the bound
-shrinks the sweep, running with a larger max_n never widens it.  Suites are
-pure and independent, so they may be sharded across processes.
+Every check is one entry of ``CHECKS``: its suite, its name, the least n it
+sweeps, its declared bound, and a predicate on a single n.  ``run_check``
+sweeps an entry over n = lo..min(bound, max_n), so running with max_n below
+the bound shrinks the sweep and a larger max_n never widens it.  An entry
+whose bound is None is a fixed-order check: it runs once, at n = lo,
+whatever max_n is.  The sweep stops at the first n whose predicate is false
+or raises, and the check's ``detail`` names that n as ``n=<k>``, followed by
+the exception's type and text when one was raised.
+
+A suite is the entries that share a suite name.  Suites are pure and
+independent, so they may be sharded across processes.  The acceptance gate
+(tests/test_acceptance.py) runs every entry at its full bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import encode, interpret, models, series, typemaps
 from .core import (
-    SetPartition,
+    ValidationError,
     edges,
     nonaligned_blocks,
     nonnested_blocks,
@@ -49,151 +60,172 @@ class Check:
     detail: str = ""
 
 
-def _check(suite, name, ok, detail=""):
-    return Check(suite, name, bool(ok), detail if not ok else "")
+@dataclass(frozen=True)
+class Entry:
+    """A declared check: ``holds(n)`` for n = lo..bound, or once at n = lo when bound is None."""
+
+    suite: str
+    name: str
+    lo: int
+    bound: int | None
+    holds: Callable[[int], bool]
+
+    def sweep(self, max_n: int) -> range:
+        top = self.lo if self.bound is None else min(self.bound, max_n)
+        return range(self.lo, top + 1)
 
 
-def _cap(bound: int, max_n: int) -> int:
-    return min(bound, max_n)
+CHECKS: list[Entry] = []
+
+
+def _declare(suite: str, name: str, lo: int, bound: int | None):
+    def register(holds):
+        CHECKS.append(Entry(suite, name, lo, bound, holds))
+        return holds
+
+    return register
+
+
+def run_check(entry: Entry, max_n: int) -> Check:
+    """Sweep one entry; an exception raised by the code under check fails the check, it is not bad input."""
+    for n in entry.sweep(max_n):
+        try:
+            ok = entry.holds(n)
+        except Exception as e:
+            return Check(entry.suite, entry.name, False, f"n={n}: {type(e).__name__}: {e}")
+        if not ok:
+            return Check(entry.suite, entry.name, False, f"n={n}")
+    return Check(entry.suite, entry.name, True)
+
+
+def _bijective(domain, codomain, fwd, inv, keeps=lambda x, y: True) -> bool:
+    """fwd maps domain onto codomain, inv undoes it, and keeps(x, fwd(x)) holds throughout."""
+    images = set()
+    for x in domain:
+        y = fwd(x)
+        if inv(y) != x or not keeps(x, y):
+            return False
+        images.add(y)
+    return images == set(codomain)
+
+
+def _count(items) -> int:
+    return sum(1 for _ in items)
+
+
+def _sizes(blocks) -> list[int]:
+    return [len(b) for b in blocks]
 
 
 # ---------------------------------------------------------------------------
+# core
 
 
-def suite_core(max_n: int) -> list[Check]:
-    out = []
-    ok = True
-    for n in range(_cap(7, max_n) + 1):
-        for p in partitions(n):
-            order = tuple(range(1, n + 1))
-            if pattern_free(p, order, "crossing") != noncrossing_wrt(p, order):
-                ok = False
-    for n in range(_cap(10, max_n) + 1):
-        for p in noncrossing_partitions(n):
-            order = tuple(range(1, n + 1))
-            if not pattern_free(p, order, "crossing"):
-                ok = False
-    out.append(_check("core", "crossing quadruple condition agrees with the arc test", ok))
-
-    ok = True
-    for n in range(_cap(9, max_n) + 1):
-        for p in partitions(n):
-            if sum(type_of(p)) != n or len(p.blocks) + len(edges(p)) != n:
-                ok = False
-    out.append(_check("core", "type sums to n and blocks + edges = n", ok))
-
-    ok = True
-    for n in range(1, _cap(8, max_n) + 1):
-        for p in partitions(n):
-            if not nonnested_blocks(p) or not nonaligned_blocks(p):
-                ok = False
-    out.append(_check("core", "nonnested and nonaligned blocks are nonempty", ok))
-
-    ok = True
-    for n in range(1, _cap(9, max_n) + 1):
-        for p in noncrossing_partitions(n):
-            blocks = sorted(p.blocks, key=lambda b: b[-1])
-            k = len(blocks)
-            na = set(nonaligned_blocks(p))
-            for i in range(k):
-                in_top_run = blocks[k - 1 - i][-1] == n - i
-                if (blocks[k - 1 - i] in na) != in_top_run:
-                    ok = False
-    out.append(_check("core", "nonaligned iff the block maximum is in the top run", ok))
-    return out
+@_declare("core", "crossing quadruple condition agrees with the arc test", 0, 10)
+def _crossing_quadruples(n):
+    order = tuple(range(1, n + 1))
+    agrees = n > 7 or all(pattern_free(p, order, "crossing") == noncrossing_wrt(p, order) for p in partitions(n))
+    return agrees and all(pattern_free(p, order, "crossing") for p in noncrossing_partitions(n))
 
 
-def suite_signed(max_n: int) -> list[Check]:
-    out = []
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        for p in enumerate_signed(n):
-            d = decompose_triple(p)
-            pairs = [pr for pr in d.gamma]
-            if compose_triple(d.alpha, d.beta, pairs) != p:
-                ok = False
-            if (len(d.beta) % 2 == 1) != (p.zero_block() is not None):
-                ok = False
-            if len(d.gamma0) != (len(d.beta) + 1) // 2:
-                ok = False
-    out.append(_check("signed", "triple decomposition round-trips and parity marks the zero block", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        for sigma in partitions(n):
-            bs = sigma.blocks
-            for r in range(len(bs) + 1):
-                for marked in itertools.combinations(bs, r):
-                    for matching in maximal_matchings(marked):
-                        p = compose_triple(sigma, marked, matching)
-                        d = decompose_triple(p)
-                        if d.alpha != sigma or set(d.beta) != set(marked):
-                            ok = False
-                        if {frozenset(pr) for pr in d.gamma} != {frozenset(pr) for pr in matching}:
-                            ok = False
-    out.append(_check("signed", "compose then decompose is the identity on triples", ok))
-
-    ok = True
-    for n in range(1, _cap(7, max_n) + 1):
-        seen = set()
-        count = 0
-        for p in enumerate_signed(n):
-            if p in seen:
-                ok = False
-            seen.add(p)
-            count += 1
-            if sum(signed_type(p)) + zero_block_size(p) // 2 != n:
-                ok = False
-        if count != count_signed(n):
-            ok = False
-    out.append(_check("signed", "enumeration is duplicate-free and matches the counting formula", ok))
-    return out
+@_declare("core", "type sums to n and blocks + edges = n", 0, 9)
+def _type_sums(n):
+    return all(sum(type_of(p)) == n and len(p.blocks) + len(edges(p)) == n for p in partitions(n))
 
 
-def suite_models(max_n: int) -> list[Check]:
-    out = []
-    ok = True
-    for n in range(1, _cap(12, max_n) + 1):
-        if sum(1 for _ in noncrossing_partitions(n)) != CATALAN[n]:
-            ok = False
-        if n <= 10 and sum(1 for _ in nonnesting_partitions(n)) != CATALAN[n]:
-            ok = False
-    out.append(_check("models", "noncrossing and nonnesting counts are Catalan", ok))
+@_declare("core", "nonnested and nonaligned blocks are nonempty", 1, 8)
+def _special_blocks_exist(n):
+    return all(nonnested_blocks(p) and nonaligned_blocks(p) for p in partitions(n))
 
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        signed = list(enumerate_signed(n))
-        for fam in models.SIGNED_FAMILIES:
-            filtered = sorted((p for p in signed if models.is_member(p, fam)), key=lambda p: p.blocks)
-            if enumerate_family(fam, n) != tuple(filtered):
-                ok = False
-    out.append(_check("models", "bijective enumerations agree with filtering signed partitions", ok))
 
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        for fam in ("nc_b", "nn_b", "nn_c", "nc_d", "nn_d"):
-            if len(enumerate_family(fam, n)) != models.count_family(fam, n):
-                ok = False
-    out.append(_check("models", "family cardinalities match the closed formulas", ok))
+@_declare("core", "nonaligned iff the block maximum is in the top run", 1, 9)
+def _nonaligned_top_run(n):
+    for p in noncrossing_partitions(n):
+        na = set(nonaligned_blocks(p))
+        from_top = sorted(p.blocks, key=lambda b: b[-1], reverse=True)
+        if any((b in na) != (b[-1] == n - i) for i, b in enumerate(from_top)):
+            return False
+    return True
 
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        for fam in ("A", "B", "D"):
-            total = 0
-            for lam in _all_types(fam, n):
-                c = models.count_by_type(fam, n, lam)
-                if c != models.exhaustive_count_by_type(fam, n, lam):
-                    ok = False
-                total += c
-            expected = {
-                "A": CATALAN[n],
-                "B": math.comb(2 * n, n),
-                "D": models.count_family("nc_d", n),
-            }[fam]
-            if total != expected:
-                ok = False
-    out.append(_check("models", "type-counting formulas match exhaustive counts and sum to the family size", ok))
-    return out
+
+# ---------------------------------------------------------------------------
+# signed
+
+
+@_declare("signed", "triple decomposition round-trips and parity marks the zero block", 1, 6)
+def _triple_decomposition(n):
+    for p in enumerate_signed(n):
+        d = decompose_triple(p)
+        if compose_triple(d.alpha, d.beta, list(d.gamma)) != p:
+            return False
+        if (len(d.beta) % 2 == 1) != (p.zero_block() is not None) or len(d.gamma0) != (len(d.beta) + 1) // 2:
+            return False
+    return True
+
+
+@_declare("signed", "compose then decompose is the identity on triples", 1, 6)
+def _compose_decompose(n):
+    for sigma in partitions(n):
+        for r in range(len(sigma.blocks) + 1):
+            for marked in itertools.combinations(sigma.blocks, r):
+                for matching in maximal_matchings(marked):
+                    d = decompose_triple(compose_triple(sigma, marked, matching))
+                    if d.alpha != sigma or set(d.beta) != set(marked):
+                        return False
+                    if {frozenset(pr) for pr in d.gamma} != {frozenset(pr) for pr in matching}:
+                        return False
+    return True
+
+
+@_declare("signed", "enumeration is duplicate-free and matches the counting formula", 1, 7)
+def _signed_enumeration(n):
+    ps = list(enumerate_signed(n))
+    if not len(set(ps)) == len(ps) == count_signed(n):
+        return False
+    return all(sum(signed_type(p)) + zero_block_size(p) // 2 == n for p in ps)
+
+
+# ---------------------------------------------------------------------------
+# models
+
+
+@_declare("models", "noncrossing and nonnesting counts are Catalan", 1, 12)
+def _catalan_counts(n):
+    if _count(noncrossing_partitions(n)) != CATALAN[n]:
+        return False
+    return n > 10 or _count(nonnesting_partitions(n)) == CATALAN[n]
+
+
+@_declare("models", "bijective enumerations agree with filtering signed partitions", 1, 6)
+def _enumeration_by_filter(n):
+    signed = list(enumerate_signed(n))
+    return all(
+        enumerate_family(fam, n)
+        == tuple(sorted((p for p in signed if models.is_member(p, fam)), key=lambda p: p.blocks))
+        for fam in models.SIGNED_FAMILIES
+    )
+
+
+@_declare("models", "family cardinalities match the closed formulas", 1, 6)
+def _family_counts(n):
+    return all(len(enumerate_family(fam, n)) == models.count_family(fam, n) for fam in models.SIGNED_FAMILIES)
+
+
+@_declare("models", "type-counting formulas match exhaustive counts and sum to the family size", 1, 6)
+def _type_counts(n):
+    for fam, size in (("A", CATALAN[n]), ("B", math.comb(2 * n, n)), ("D", models.count_family("nc_d", n))):
+        total = 0
+        for lam in _all_types(fam, n):
+            c = models.count_by_type(fam, n, lam)
+            if c != models.exhaustive_count_by_type(fam, n, lam):
+                return False
+            # no type-D member has parts summing to n - 1
+            if fam == "D" and sum(lam) == n - 1 and c:
+                return False
+            total += c
+        if total != size:
+            return False
+    return True
 
 
 def _all_types(fam: str, n: int):
@@ -214,332 +246,288 @@ def _int_partitions(total: int, mx: int | None = None):
             yield (first,) + rest
 
 
-def suite_interpret(max_n: int) -> list[Check]:
-    out = []
-    zero_ok = True
+# ---------------------------------------------------------------------------
+# interpret
+
+
+def _family_bijective(fam, n):
+    spec = models.SIGNED_FAMILIES[fam]
+    fwd, inv = getattr(interpret, f"phi_{fam}"), getattr(interpret, f"phi_{fam}_inverse")
+
+    def keeps(p, m):
+        want = tuple(sorted(interpret.unmarked_type(m) + interpret._type_clause(fam, m), reverse=True))
+        return models.validate_marked(m, spec.marked) and signed_type(p) == want
+
+    domain = list(models.marked_domain(fam, n))
+    if not _bijective(enumerate_family(fam, n), domain, lambda p: fwd(p, check=False),
+                      lambda m: inv(m, check=False), keeps):
+        return False
+    # all four (epsilon = 0?, k mod 2) branches of a type-D clause occur from n = 3 on
+    if spec.marked not in models.MARKED_TRIPLE_CLASSES or n < 3:
+        return True
+    return len({(t.epsilon == 0, len(t.marked) % 2) for t in domain}) == 4
+
+
+for _fam in models.SIGNED_FAMILIES:
+    _declare("interpret", f"{_fam}: bijective with type clause", 1, 6)(functools.partial(_family_bijective, _fam))
+
+
+@_declare("interpret", "zero blocks sit at the middle (B) or first (NN-B) mark", 1, 6)
+def _zero_block_marks(n):
     for fam, spec in models.SIGNED_FAMILIES.items():
-        fwd, inv = getattr(interpret, f"phi_{fam}"), getattr(interpret, f"phi_{fam}_inverse")
-        is_d = spec.marked in models.MARKED_TRIPLE_CLASSES
-        ok = True
-        branch_seen = set()
-        for n in range(1, _cap(6, max_n) + 1):
-            members = enumerate_family(fam, n)
-            domain = list(models.marked_domain(fam, n))
-            imgs = []
-            for p in members:
-                m = fwd(p, check=False)
-                if not models.validate_marked(m, spec.marked):
-                    ok = False
-                if inv(m, check=False) != p:
-                    ok = False
-                want = tuple(sorted(interpret.unmarked_type(m) + interpret._type_clause(fam, m), reverse=True))
-                if signed_type(p) != want:
-                    ok = False
-                imgs.append(m)
-                if is_d:
-                    branch_seen.add((m.epsilon == 0, len(m.marked) % 2))
-                    continue
-                z = p.zero_block()
-                if (len(m.marked) % 2 == 1) != (z is not None):
-                    zero_ok = False
-                elif z is not None:
-                    held = m.marked[len(m.marked) // 2 if spec.held == "middle" else 0]
-                    if tuple(sorted(held + tuple(-x for x in held))) != z:
-                        zero_ok = False
-            if len(set(imgs)) != len(members) or set(imgs) != set(domain):
-                ok = False
-        if is_d and len(branch_seen) < 4:
-            ok = False
-        out.append(_check("interpret", f"{fam}: bijective with type clause", ok))
-    out.append(_check("interpret", "zero blocks sit at the middle (B) or first (NN-B) mark", zero_ok))
-    return out
+        if spec.marked in models.MARKED_TRIPLE_CLASSES:
+            continue
+        fwd = getattr(interpret, f"phi_{fam}")
+        for p in enumerate_family(fam, n):
+            m, z = fwd(p, check=False), p.zero_block()
+            if (len(m.marked) % 2 == 1) != (z is not None):
+                return False
+            if z is not None:
+                held = m.marked[len(m.marked) // 2 if spec.held == "middle" else 0]
+                if tuple(sorted(held + tuple(-x for x in held))) != z:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# typemaps
+
+
+@_declare("typemaps", "xi is a type-preserving involution swapping the two statistics", 0, 9)
+def _xi_involution(n):
+    for p in noncrossing_partitions(n):
+        q = typemaps.xi(p, check=False)
+        if typemaps.xi(q, check=False) != p or type_of(q) != type_of(p):
+            return False
+        if len(nonnested_blocks(q)) != len(nonaligned_blocks(p)):
+            return False
+        if len(nonaligned_blocks(q)) != len(nonnested_blocks(p)):
+            return False
+    return True
+
+
+@_declare("typemaps", "special block sizes correspond elementwise under xi", 0, 9)
+def _xi_block_sizes(n):
+    for p in noncrossing_partitions(n):
+        q = typemaps.xi(p, check=False)
+        if _sizes(nonnested_blocks(p)) != _sizes(nonaligned_blocks(q)):
+            return False
+        if _sizes(nonaligned_blocks(p)) != _sizes(nonnested_blocks(q)):
+            return False
+    return True
+
+
+@_declare("typemaps", "joint statistic distribution is swap-symmetric", 0, 10)
+def _joint_symmetry(n):
+    dist = Counter((len(nonnested_blocks(p)), len(nonaligned_blocks(p))) for p in noncrossing_partitions(n))
+    return dist == Counter({(b, a): v for (a, b), v in dist.items()})
+
+
+@_declare("typemaps", "rho is a profile-preserving bijection onto nonnesting partitions", 0, 9)
+def _rho_bijection(n):
+    def keeps(p, q):
+        profile = sorted((b[-1], len(b)) for b in p.blocks)
+        return q == typemaps.rho_by_search(p) and profile == sorted((b[-1], len(b)) for b in q.blocks)
+
+    return _bijective(noncrossing_partitions(n), nonnesting_partitions(n), lambda p: typemaps.rho(p, check=False),
+                      lambda q: typemaps.rho_inverse(q, check=False), keeps)
+
+
+@_declare("typemaps", "marked-pair maps are bijections on their classes", 1, 6)
+def _marked_pair_maps(n):
+    na, nn = list(marked_pairs(n, "nc_na")), list(marked_pairs(n, "nc_nn"))
+    triples = list(marked_triples(n, "nc_nn_pm"))
+    return (
+        _bijective(na, marked_pairs(n, "nn_na"), lambda m: typemaps.rho_bar(m, check=False),
+                   lambda q: typemaps.rho_bar_inverse(q, check=False),
+                   lambda m, q: models.validate_marked(q, "nn_na"))
+        and _bijective(nn, na, lambda m: typemaps.xi_bar(m, check=False),
+                       lambda q: typemaps.xi_bar_inverse(q, check=False),
+                       lambda m, q: models.validate_marked(q, "nc_na")
+                       and sorted(_sizes(m.marked)) == sorted(_sizes(q.marked)))
+        and _bijective(nn, nn, lambda m: typemaps.iota_b(m, check=False),
+                       lambda q: typemaps.iota_b_inverse(q, check=False),
+                       lambda m, q: len(m.marked) % 2 == 1 or q == m)
+        and _bijective(triples, triples, lambda t: typemaps.iota_d(t, check=False),
+                       lambda q: typemaps.iota_d_inverse(q, check=False),
+                       lambda t, q: t.epsilon != 0 or typemaps.iota_b(t.pair, check=False) == q.pair)
+    )
+
+
+@_declare("typemaps", "composed maps are type-preserving bijections", 1, 6)
+def _composed_maps(n):
+    def keeps(p, q):
+        return signed_type(q) == signed_type(p) and zero_block_size(q) == zero_block_size(p)
+
+    return all(
+        _bijective(enumerate_family(src, n), enumerate_family(dst, n), lambda p: typemaps.nc_to_nn(fam, p),
+                   lambda q: typemaps.nn_to_nc(fam, q), keeps)
+        for fam, src, dst in (("B", "nc_b", "nn_b"), ("C", "nc_b", "nn_c"), ("D", "nc_d", "nn_d"))
+    )
+
+
+# ---------------------------------------------------------------------------
+# series: the first three checks are identities at the fixed order 12
+
+
+@_declare("series", "the square-root series squares back exactly", 12, None)
+def _sqrt_squares(order):
+    s = series.sqrt_one_minus_4z(order)
+    sq = (s * s).scalar_coefficients()
+    return sq[0] == 1 and sq[1] == -4 and all(v == 0 for v in sq[2:])
+
+
+@_declare("series", "component identities hold", 12, None)
+def _component_identities(order):
+    c = series.series_c(order)
+    one = series.Series.constant(1, order)
+    if (c * (one - series.series_b(order))).coeffs != one.coeffs:
+        return False
+    a_at_1 = tuple(sum(p.values(), Fraction(0)) for p in series.series_a(order).coeffs)
+    return a_at_1 == c.scalar_coefficients()
+
+
+@_declare("series", "factored and closed joint series agree to order 12", 12, None)
+def _factored_is_closed(order):
+    return series.series_f_factored(order).coeffs == series.series_f_closed(order).coeffs
+
+
+@_declare("series", "joint series matches enumeration", 0, 10)
+def _series_by_enumeration(n):
+    want = series.nn_na_polynomial(n)
+    return series.series_f_closed(n).coeffs[n] == want == series.series_f_factored(n).coeffs[n]
+
+
+@_declare("series", "coefficients are swap-symmetric and specialize to Catalan", 0, 12)
+def _closed_symmetric_catalan(n):
+    p = series.series_f_closed(n).coeffs[n]
+    return p == {(j, i): v for (i, j), v in p.items()} and sum(p.values(), Fraction(0)) == CATALAN[n]
+
+
+# ---------------------------------------------------------------------------
+# encode
+
+
+def _b_pair_type(bp) -> tuple[int, ...]:
+    if bp.x is not None and bp.x[0] == "block":
+        return tuple(sorted((len(b) for b in bp.sigma.blocks if b != bp.x[1]), reverse=True))
+    return type_of(bp.sigma)
+
+
+def _d_pair_type(dp) -> tuple[int, ...]:
+    if dp.x is None or dp.x[0] == "edge":
+        return tuple(sorted(_sizes(dp.sigma.blocks) + [1], reverse=True))
+    if dp.x[0] == "block":
+        return _b_pair_type(dp)
+    blk = dp.sigma.block_containing(abs(dp.x[1]))
+    rest = [len(b) for b in dp.sigma.blocks if b != blk]
+    return tuple(sorted(rest + [len(blk) + 1], reverse=True))
+
+
+@_declare("encode", "pair encoding of the B family is bijective with its type clause", 1, 9)
+def _b_pair_encoding(n):
+    # The inverse lands in NC_B, psi_b undoes it, and it hits C(2n, n) distinct
+    # members, which is |NC_B(n)|: so it is a bijection, with psi_b its inverse.
+    members = set()
+    pairs = 0
+    for bp in encode.b_pairs(n):
+        p = encode.psi_b_inverse(bp, check=False)
+        if not models.is_member(p, "nc_b") or encode.psi_b(p, check=False) != bp:
+            return False
+        if signed_type(p) != _b_pair_type(bp):
+            return False
+        members.add(p)
+        pairs += 1
+    return pairs == len(members) == math.comb(2 * n, n)
+
+
+@_declare("encode", "pair encoding of the D family is bijective with its type clause", 2, 6)
+def _d_pair_encoding(n):
+    members = enumerate_family("nc_d", n)
+    if len(members) != (3 * n - 2) * CATALAN[n - 1]:
+        return False
+    return _bijective(members, encode.d_pairs(n), lambda p: encode.psi_d(p, check=False),
+                      lambda dp: encode.psi_d_inverse(dp, check=False),
+                      lambda p, dp: signed_type(p) == _d_pair_type(dp))
+
+
+@_declare("encode", "pair-set cardinalities match the closed formulas", 1, 8)
+def _pair_set_counts(n):
+    if (n + 1) * CATALAN[n] != math.comb(2 * n, n):
+        return False
+    return n < 2 or _count(encode.d_pairs(n)) == (3 * n - 2) * CATALAN[n - 1]
+
+
+@_declare("encode", "kappa is a bijection onto the restricted pairs", 1, 6)
+def _kappa_bijection(n):
+    restricted = [m for m in marked_pairs(n, "nc_nn") if encode.is_restricted_pair(m)]
+    return _bijective(marked_triples(n - 1, "nc_nn_pm"), restricted, lambda t: encode.kappa(t, check=False),
+                      lambda k: encode.kappa_inverse(k, check=False), lambda t, k: encode.is_restricted_pair(k))
+
+
+@_declare("encode", "the Dyck-path correspondence is bijective", 0, 6)
+def _dyck_bijection(n):
+    return _bijective(noncrossing_partitions(n), (q for q in encode.lattice_paths(n) if encode.is_dyck(q)),
+                      lambda p: encode.nc_to_dyck(p, check=False), encode.dyck_to_nc)
+
+
+@_declare("encode", "path reflection is bijective and restricts to the avoiding paths", 1, 6)
+def _path_reflection(n):
+    pairs = list(marked_pairs(n, "nc_nn"))
+    if not _bijective(pairs, encode.lattice_paths(n), lambda m: encode.g_map(m, check=False), encode.g_map_inverse):
+        return False
+    lbar = {q for q in encode.lattice_paths(n) if encode.in_lp_bar(q)}
+    if len(lbar) != math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1):
+        return False
+    return {encode.g_map(m, check=False) for m in pairs if encode.is_restricted_pair(m)} == lbar
+
+
+@_declare("encode", "tableau filling is bijective and restricts to the D tableaux", 1, 6)
+def _tableau_filling(n):
+    def keeps(m, t):
+        return encode.tableau_validate(t, "CT_B") and encode.tableau_validate(t, "CT_D") == ((n,) not in m.marked)
+
+    pairs = list(marked_pairs(n, "nc_nn"))
+    if not _bijective(pairs, encode.catalan_tableaux(n, "CT_B"), lambda m: encode.f_map(m, check=False),
+                      lambda t: encode.f_map_inverse(t, check=False), keeps):
+        return False
+    restricted = {encode.f_map(m, check=False) for m in pairs if encode.is_restricted_pair(m)}
+    return restricted == set(encode.catalan_tableaux(n, "CT_D"))
+
+
+# ---------------------------------------------------------------------------
+
+
+def _run_suite(suite: str, max_n: int) -> list[Check]:
+    return [run_check(e, max_n) for e in CHECKS if e.suite == suite]
+
+
+def suite_core(max_n: int) -> list[Check]:
+    return _run_suite("core", max_n)
+
+
+def suite_signed(max_n: int) -> list[Check]:
+    return _run_suite("signed", max_n)
+
+
+def suite_models(max_n: int) -> list[Check]:
+    return _run_suite("models", max_n)
+
+
+def suite_interpret(max_n: int) -> list[Check]:
+    return _run_suite("interpret", max_n)
 
 
 def suite_typemaps(max_n: int) -> list[Check]:
-    out = []
-    ok = True
-    for n in range(_cap(9, max_n) + 1):
-        for p in noncrossing_partitions(n):
-            q = typemaps.xi(p, check=False)
-            if typemaps.xi(q, check=False) != p or type_of(q) != type_of(p):
-                ok = False
-            if len(nonnested_blocks(q)) != len(nonaligned_blocks(p)):
-                ok = False
-            if len(nonaligned_blocks(q)) != len(nonnested_blocks(p)):
-                ok = False
-    out.append(_check("typemaps", "xi is a type-preserving involution swapping the two statistics", ok))
-
-    ok = True
-    for n in range(_cap(8, max_n) + 1):
-        for p in noncrossing_partitions(n):
-            q = typemaps.xi(p, check=False)
-            nn_p = nonnested_blocks(p)
-            na_p = nonaligned_blocks(p)
-            nn_q = nonnested_blocks(q)
-            na_q = nonaligned_blocks(q)
-            if [len(b) for b in nn_p] != [len(b) for b in na_q]:
-                ok = False
-            if [len(b) for b in na_p] != [len(b) for b in nn_q]:
-                ok = False
-    out.append(_check("typemaps", "special block sizes correspond elementwise under xi", ok))
-
-    ok = True
-    for n in range(_cap(10, max_n) + 1):
-        dist: dict[tuple[int, int], int] = {}
-        for p in noncrossing_partitions(n):
-            k = (len(nonnested_blocks(p)), len(nonaligned_blocks(p)))
-            dist[k] = dist.get(k, 0) + 1
-        if dist != {(b, a): v for (a, b), v in dist.items()}:
-            ok = False
-    out.append(_check("typemaps", "joint statistic distribution is swap-symmetric", ok))
-
-    ok = True
-    for n in range(_cap(9, max_n) + 1):
-        imgs = set()
-        nns = set(nonnesting_partitions(n))
-        for p in noncrossing_partitions(n):
-            q = typemaps.rho(p, check=False)
-            if q != typemaps.rho_by_search(p) or typemaps.rho_inverse(q, check=False) != p:
-                ok = False
-            prof = sorted((b[-1], len(b)) for b in p.blocks)
-            if prof != sorted((b[-1], len(b)) for b in q.blocks):
-                ok = False
-            imgs.add(q)
-        if imgs != nns:
-            ok = False
-    out.append(_check("typemaps", "rho is a profile-preserving bijection onto nonnesting partitions", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        na_pairs = list(marked_pairs(n, "nc_na"))
-        imgs = set()
-        for m in na_pairs:
-            q = typemaps.rho_bar(m, check=False)
-            if not models.validate_marked(q, "nn_na"):
-                ok = False
-            if typemaps.rho_bar_inverse(q, check=False) != m:
-                ok = False
-            imgs.add(q)
-        if imgs != set(marked_pairs(n, "nn_na")):
-            ok = False
-        nn_pairs = list(marked_pairs(n, "nc_nn"))
-        imgs = set()
-        for m in nn_pairs:
-            q = typemaps.xi_bar(m, check=False)
-            if not models.validate_marked(q, "nc_na"):
-                ok = False
-            if typemaps.xi_bar_inverse(q, check=False) != m:
-                ok = False
-            if sorted(len(b) for b in m.marked) != sorted(len(b) for b in q.marked):
-                ok = False
-            imgs.add(q)
-        if imgs != set(marked_pairs(n, "nc_na")):
-            ok = False
-        imgs = set()
-        for m in nn_pairs:
-            q = typemaps.iota_b(m, check=False)
-            if typemaps.iota_b_inverse(q, check=False) != m:
-                ok = False
-            if len(m.marked) % 2 == 0 and q != m:
-                ok = False
-            imgs.add(q)
-        if imgs != set(nn_pairs):
-            ok = False
-        triples = list(marked_triples(n, "nc_nn_pm"))
-        imgs = set()
-        for t in triples:
-            q = typemaps.iota_d(t, check=False)
-            if typemaps.iota_d_inverse(q, check=False) != t:
-                ok = False
-            if t.epsilon == 0 and typemaps.iota_b(t.pair, check=False) != q.pair:
-                ok = False
-            imgs.add(q)
-        if imgs != set(triples):
-            ok = False
-    out.append(_check("typemaps", "marked-pair maps are bijections on their classes", ok))
-
-    ok = True
-    for fam, bound in (("B", 6), ("C", 6), ("D", 5)):
-        src_fam = "nc_d" if fam == "D" else "nc_b"
-        dst_fam = {"B": "nn_b", "C": "nn_c", "D": "nn_d"}[fam]
-        lo = 2 if fam == "D" else 1
-        for n in range(lo, _cap(bound, max_n) + 1):
-            imgs = set()
-            target = set(enumerate_family(dst_fam, n))
-            for p in enumerate_family(src_fam, n):
-                q = typemaps.nc_to_nn(fam, p)
-                if q not in target or signed_type(q) != signed_type(p):
-                    ok = False
-                if zero_block_size(q) != zero_block_size(p):
-                    ok = False
-                if typemaps.nn_to_nc(fam, q) != p:
-                    ok = False
-                imgs.add(q)
-            if imgs != target:
-                ok = False
-    out.append(_check("typemaps", "composed maps are type-preserving bijections", ok))
-    return out
+    return _run_suite("typemaps", max_n)
 
 
 def suite_series(max_n: int) -> list[Check]:
-    out = []
-    order = 12
-    s = series.sqrt_one_minus_4z(order)
-    sq = (s * s).scalar_coefficients()
-    ok = sq[0] == 1 and sq[1] == -4 and all(v == 0 for v in sq[2:])
-    out.append(_check("series", "the square-root series squares back exactly", ok))
-
-    c = series.series_c(order)
-    b = series.series_b(order)
-    one = series.Series.constant(1, order)
-    ok = (c * (one - b)).coeffs == one.coeffs
-    a = series.series_a(order)
-    a_at_1 = tuple(sum(p.values(), Fraction(0)) for p in a.coeffs)
-    ok = ok and a_at_1 == c.scalar_coefficients()
-    out.append(_check("series", "component identities hold", ok))
-
-    ok = series.series_f_factored(order).coeffs == series.series_f_closed(order).coeffs
-    out.append(_check("series", "factored and closed joint series agree to order 12", ok))
-
-    rep = series.cross_check(_cap(10, max_n))
-    out.append(_check("series", "joint series matches enumeration", rep.ok))
-
-    f = series.series_f_closed(_cap(10, max_n))
-    ok = all(p == {(j, i): v for (i, j), v in p.items()} for p in f.coeffs)
-    cats = tuple(int(sum(p.values(), Fraction(0))) for p in f.coeffs)
-    ok = ok and cats == CATALAN[: len(cats)]
-    out.append(_check("series", "coefficients are swap-symmetric and specialize to Catalan", ok))
-    return out
+    return _run_suite("series", max_n)
 
 
 def suite_encode(max_n: int) -> list[Check]:
-    out = []
-    ok = True
-    for n in range(1, _cap(5, max_n) + 1):
-        members = enumerate_family("nc_b", n)
-        imgs = set()
-        for p in members:
-            bp = encode.psi_b(p, check=False)
-            if encode.psi_b_inverse(bp, check=False) != p:
-                ok = False
-            z = p.zero_block()
-            sig = type_of(bp.sigma)
-            if bp.x is not None and bp.x[0] == "block":
-                want = tuple(sorted((len(b) for b in bp.sigma.blocks if b != bp.x[1]), reverse=True))
-            else:
-                want = sig
-            if signed_type(p) != want:
-                ok = False
-            imgs.add(bp)
-        if imgs != set(encode.b_pairs(n)):
-            ok = False
-        if len(imgs) != math.comb(2 * n, n):
-            ok = False
-    out.append(_check("encode", "pair encoding of the B family is bijective with its type clause", ok))
-
-    ok = True
-    for n in range(2, _cap(5, max_n) + 1):
-        members = enumerate_family("nc_d", n)
-        imgs = set()
-        for p in members:
-            dp = encode.psi_d(p, check=False)
-            if encode.psi_d_inverse(dp, check=False) != p:
-                ok = False
-            sizes = [len(b) for b in dp.sigma.blocks]
-            if dp.x is None or dp.x[0] == "edge":
-                want = tuple(sorted(sizes + [1], reverse=True))
-            elif dp.x[0] == "block":
-                want = tuple(sorted((len(b) for b in dp.sigma.blocks if b != dp.x[1]), reverse=True))
-            else:
-                blk = dp.sigma.block_containing(abs(dp.x[1]))
-                rest = [len(b) for b in dp.sigma.blocks if b != blk]
-                want = tuple(sorted(rest + [len(blk) + 1], reverse=True))
-            if signed_type(p) != want:
-                ok = False
-            imgs.add(dp)
-        if imgs != set(encode.d_pairs(n)):
-            ok = False
-        if len(imgs) != (3 * n - 2) * CATALAN[n - 1]:
-            ok = False
-    out.append(_check("encode", "pair encoding of the D family is bijective with its type clause", ok))
-
-    ok = True
-    for n in range(1, _cap(8, max_n) + 1):
-        if (n + 1) * CATALAN[n] != math.comb(2 * n, n):
-            ok = False
-        if n >= 2:
-            dcount = sum(1 for _ in encode.d_pairs(n))
-            if dcount != (3 * n - 2) * CATALAN[n - 1]:
-                ok = False
-    out.append(_check("encode", "pair-set cardinalities match the closed formulas", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        triples = list(marked_triples(n - 1, "nc_nn_pm"))
-        imgs = set()
-        for t in triples:
-            k = encode.kappa(t, check=False)
-            if not encode.is_restricted_pair(k) or encode.kappa_inverse(k, check=False) != t:
-                ok = False
-            imgs.add(k)
-        restricted = {m for m in marked_pairs(n, "nc_nn") if encode.is_restricted_pair(m)}
-        if imgs != restricted:
-            ok = False
-    out.append(_check("encode", "kappa is a bijection onto the restricted pairs", ok))
-
-    ok = True
-    for n in range(_cap(6, max_n) + 1):
-        imgs = set()
-        for p in noncrossing_partitions(n):
-            d = encode.nc_to_dyck(p, check=False)
-            if encode.dyck_to_nc(d) != p:
-                ok = False
-            imgs.add(d)
-        if imgs != {q for q in encode.lattice_paths(n) if encode.is_dyck(q)}:
-            ok = False
-    out.append(_check("encode", "the Dyck-path correspondence is bijective", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        pairs = list(marked_pairs(n, "nc_nn"))
-        imgs = set()
-        rimgs = set()
-        for m in pairs:
-            g = encode.g_map(m, check=False)
-            if encode.g_map_inverse(g) != m:
-                ok = False
-            imgs.add(g)
-            if encode.is_restricted_pair(m):
-                rimgs.add(g)
-        if imgs != set(encode.lattice_paths(n)):
-            ok = False
-        lbar = {q for q in encode.lattice_paths(n) if encode.in_lp_bar(q)}
-        if rimgs != lbar or len(lbar) != math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1):
-            ok = False
-    out.append(_check("encode", "path reflection is bijective and restricts to the avoiding paths", ok))
-
-    ok = True
-    for n in range(1, _cap(6, max_n) + 1):
-        pairs = list(marked_pairs(n, "nc_nn"))
-        imgs = set()
-        rimgs = set()
-        for m in pairs:
-            t = encode.f_map(m, check=False)
-            if not encode.tableau_validate(t, "CT_B"):
-                ok = False
-            if encode.f_map_inverse(t, check=False) != m:
-                ok = False
-            if encode.tableau_validate(t, "CT_D") != ((n,) not in m.marked):
-                ok = False
-            imgs.add(t)
-            if encode.is_restricted_pair(m):
-                rimgs.add(t)
-        if imgs != set(encode.catalan_tableaux(n, "CT_B")):
-            ok = False
-        if rimgs != set(encode.catalan_tableaux(n, "CT_D")):
-            ok = False
-    out.append(_check("encode", "tableau filling is bijective and restricts to the D tableaux", ok))
-    return out
+    return _run_suite("encode", max_n)
 
 
 SUITES = {
@@ -563,6 +551,10 @@ def run_suites(max_n: int = 6, names: list[str] | None = None, jobs: int = 1) ->
     for name in names:
         if name not in SUITES:
             raise KeyError(name)
+    if max_n < 1:
+        raise ValidationError("max_n must be >= 1")
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
     tasks = [(name, max_n) for name in names]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

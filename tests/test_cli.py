@@ -169,6 +169,44 @@ def test_verify_command(capsys):
     assert out.startswith("core: pass")
 
 
+def test_verify_passes_below_the_d_branch_rank(capsys):
+    # the four type-D clause branches first all occur at n = 3
+    code, out, _ = run_cli(capsys, ["verify", "--max-n", "2", "--suite", "all"])
+    assert code == 0 and "FAIL" not in out
+
+
+def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch):
+    import coxcat.encode
+    from coxcat.core import ValidationError
+
+    def broken(m):
+        raise ValidationError("merge broke")
+
+    monkeypatch.setattr(coxcat.encode, "_merge_first_last", broken)
+    code, out, _ = run_cli(capsys, ["verify", "--max-n", "3", "--suite", "encode"])
+    assert code == 2
+    assert "  FAIL pair encoding of the B family is bijective with its type clause n=1: ValidationError: merge broke" in out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--max-n", "0"], "max_n must be >= 1"),
+    (["--max-n", "-2", "--suite", "core"], "max_n must be >= 1"),
+    (["--jobs", "0"], "jobs must be >= 1"),
+    (["--jobs", "-3"], "jobs must be >= 1"),
+])
+def test_verify_rejects_a_bad_domain_before_running(capsys, args, message):
+    code, out, err = run_cli(capsys, ["verify", "--max-n", "1", *args])
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_verify_sharded_by_suite_prints_what_a_serial_run_prints(capsys):
+    args = ["verify", "--max-n", "3", "--suite", "all"]
+    serial = run_cli(capsys, args + ["--jobs", "1"])
+    sharded = run_cli(capsys, args + ["--jobs", "2"])
+    assert serial[0] == 0 and sharded == serial
+
+
 def test_render_arcs_golden(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,
