@@ -5,9 +5,11 @@ Each test prints one line; run with `pytest tests/test_acceptance.py -s`
 to see the report.  All equalities are exact.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from coxcat import encode, interpret, typemaps, verify
+from coxcat import encode, interpret, series, typemaps, verify
 from coxcat.core import SetPartition, edges, nonaligned_blocks, pattern_free
 from coxcat.models import (
     MarkedPair,
@@ -23,6 +25,8 @@ from coxcat.signed import SignedPartition, compose_triple, count_signed, decompo
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
+
+CATALAN10 = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def report(idx, ok, text):
@@ -46,6 +50,16 @@ def test_criterion_04_type_d_counts():
     expected = {2: 4, 3: 14, 4: 50, 5: 182, 6: 672}
     ok = all(count_family(fam, n) == c for n, c in expected.items() for fam in ("nc_d", "nn_d"))
     report(4, ok, "type-D noncrossing and nonnesting counts are pinned for n <= 6")
+
+
+def test_criterion_08_generating_functions():
+    ok = series.series_f_factored(12).coeffs == series.series_f_closed(12).coeffs
+    rep = series.cross_check(10)
+    ok &= rep.ok
+    f = series.series_f_closed(12)
+    cats = [int(sum(p.values(), Fraction(0))) for p in f.coeffs]
+    ok &= cats == [1] + CATALAN10 + [58786, 208012]
+    report(8, ok, "closed form matches enumeration (n <= 10), agrees with the factored form to order 12, Catalan at x=y=1")
 
 
 def test_criterion_09_count_by_type():
