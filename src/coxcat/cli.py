@@ -6,24 +6,19 @@ import argparse
 import json
 import sys
 
-from . import encode, jsonio, models, render, series as series_mod, typemaps, verify
+from . import jsonio, maps, models, render, series as series_mod, verify
 from .core import InternalInvariantError, ValidationError
-from .interpret import (
-    phi_nc_b,
-    phi_nc_b_inverse,
-    phi_nc_d,
-    phi_nc_d_inverse,
-    phi_nn_b,
-    phi_nn_b_inverse,
-    phi_nn_c,
-    phi_nn_c_inverse,
-    phi_nn_d,
-    phi_nn_d_inverse,
-)
 
 
 def _read_input(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -32,48 +27,16 @@ def _read_input(path: str):
 
 J = jsonio
 
-# name -> (parse input, apply, serialize output)
-MAPS = {
-    "rho": (J.set_partition_from_obj, typemaps.rho, J.set_partition_to_obj),
-    "rho_inverse": (J.set_partition_from_obj, typemaps.rho_inverse, J.set_partition_to_obj),
-    "xi": (J.set_partition_from_obj, typemaps.xi, J.set_partition_to_obj),
-    "rho_bar": (J.marked_pair_from_obj, typemaps.rho_bar, J.marked_pair_to_obj),
-    "rho_bar_inverse": (J.marked_pair_from_obj, typemaps.rho_bar_inverse, J.marked_pair_to_obj),
-    "xi_bar": (J.marked_pair_from_obj, typemaps.xi_bar, J.marked_pair_to_obj),
-    "xi_bar_inverse": (J.marked_pair_from_obj, typemaps.xi_bar_inverse, J.marked_pair_to_obj),
-    "iota_b": (J.marked_pair_from_obj, typemaps.iota_b, J.marked_pair_to_obj),
-    "iota_b_inverse": (J.marked_pair_from_obj, typemaps.iota_b_inverse, J.marked_pair_to_obj),
-    "iota_d": (J.marked_triple_from_obj, typemaps.iota_d, J.marked_triple_to_obj),
-    "iota_d_inverse": (J.marked_triple_from_obj, typemaps.iota_d_inverse, J.marked_triple_to_obj),
-    "phi_nc_b": (J.signed_partition_from_obj, phi_nc_b, J.marked_pair_to_obj),
-    "phi_nc_b_inverse": (J.marked_pair_from_obj, phi_nc_b_inverse, J.signed_partition_to_obj),
-    "phi_nc_d": (J.signed_partition_from_obj, phi_nc_d, J.marked_triple_to_obj),
-    "phi_nc_d_inverse": (J.marked_triple_from_obj, phi_nc_d_inverse, J.signed_partition_to_obj),
-    "phi_nn_b": (J.signed_partition_from_obj, phi_nn_b, J.marked_pair_to_obj),
-    "phi_nn_b_inverse": (J.marked_pair_from_obj, phi_nn_b_inverse, J.signed_partition_to_obj),
-    "phi_nn_c": (J.signed_partition_from_obj, phi_nn_c, J.marked_pair_to_obj),
-    "phi_nn_c_inverse": (J.marked_pair_from_obj, phi_nn_c_inverse, J.signed_partition_to_obj),
-    "phi_nn_d": (J.signed_partition_from_obj, phi_nn_d, J.marked_triple_to_obj),
-    "phi_nn_d_inverse": (J.marked_triple_from_obj, phi_nn_d_inverse, J.signed_partition_to_obj),
-    "psi_b": (J.signed_partition_from_obj, encode.psi_b, J.b_pair_to_obj),
-    "psi_b_inverse": (J.b_pair_from_obj, encode.psi_b_inverse, J.signed_partition_to_obj),
-    "psi_d": (J.signed_partition_from_obj, encode.psi_d, J.d_pair_to_obj),
-    "psi_d_inverse": (J.d_pair_from_obj, encode.psi_d_inverse, J.signed_partition_to_obj),
-    "kappa": (J.marked_triple_from_obj, encode.kappa, J.marked_pair_to_obj),
-    "kappa_inverse": (J.marked_pair_from_obj, encode.kappa_inverse, J.marked_triple_to_obj),
-    "nc_to_dyck": (J.set_partition_from_obj, encode.nc_to_dyck, J.path_to_obj),
-    "nc_to_dyck_inverse": (J.path_from_obj, encode.dyck_to_nc, J.set_partition_to_obj),
-    "g_map": (J.marked_pair_from_obj, encode.g_map, J.path_to_obj),
-    "g_map_inverse": (J.path_from_obj, encode.g_map_inverse, J.marked_pair_to_obj),
-    "f_map": (J.marked_pair_from_obj, encode.f_map, J.tableau_to_obj),
-    "f_map_inverse": (J.tableau_from_obj, encode.f_map_inverse, J.marked_pair_to_obj),
-    "nc_to_nn_b": (J.signed_partition_from_obj, lambda p: typemaps.nc_to_nn("B", p), J.signed_partition_to_obj),
-    "nc_to_nn_c": (J.signed_partition_from_obj, lambda p: typemaps.nc_to_nn("C", p), J.signed_partition_to_obj),
-    "nc_to_nn_d": (J.signed_partition_from_obj, lambda p: typemaps.nc_to_nn("D", p), J.signed_partition_to_obj),
-    "nn_to_nc_b": (J.signed_partition_from_obj, lambda p: typemaps.nn_to_nc("B", p), J.signed_partition_to_obj),
-    "nn_to_nc_c": (J.signed_partition_from_obj, lambda p: typemaps.nn_to_nc("C", p), J.signed_partition_to_obj),
-    "nn_to_nc_d": (J.signed_partition_from_obj, lambda p: typemaps.nn_to_nc("D", p), J.signed_partition_to_obj),
-}
+
+def _map_entry(fn, source: str, target: str) -> tuple:
+    return getattr(J, f"{maps.DOMAINS[source][0]}_from_obj"), fn, getattr(J, f"{maps.DOMAINS[target][0]}_to_obj")
+
+
+# name -> (parse input, apply, serialize output), both directions of every pair in the map table
+MAPS = {}
+for _row in maps.PAIRS:
+    MAPS[_row.name] = _map_entry(_row.forward, _row.source, _row.target)
+    MAPS[_row.inverse_name] = _map_entry(_row.inverse, _row.target, _row.source)
 
 
 def cmd_enumerate(args) -> int:

@@ -66,28 +66,28 @@ def _check_xslot(sigma: SetPartition, x: XSlot, allow_int: bool) -> None:
         raise ValidationError(f"bad x slot {x!r}")
 
 
-def _merge_first_last(m: MarkedPair) -> SetPartition:
-    """Unite each pair of marks that the type-B inverse pairs; a held mark stays whole."""
+def _merge_first_last(m: MarkedPair) -> tuple[SetPartition, tuple[Block, Block] | None]:
+    """Unite each pair of marks that the type-B inverse pairs; a held mark stays whole.
+
+    Also returns the innermost pair: (A, A) for the middle mark of an odd
+    count, the two middle marks of an even count, None without marks.
+    """
     marked = set(m.marked)
+    pairs = _pairs("nc_b", m)
     blocks = [b for b in m.sigma.blocks if b not in marked]
-    blocks += [tuple(sorted(set(a1 + a2))) for a1, a2 in _pairs("nc_b", m)]
-    return SetPartition.from_blocks(blocks, m.sigma.n)
+    blocks += [tuple(sorted(set(a1 + a2))) for a1, a2 in pairs]
+    return SetPartition.from_blocks(blocks, m.sigma.n), (pairs[-1] if pairs else None)
 
 
 def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
     """Union marked blocks first-with-last; remember the middle as an edge or block."""
     if check and not validate_marked(m, "nc_nn"):
         raise ValidationError("not a marked noncrossing pair with nonnested marks")
-    x = m.marked
-    k = len(x)
-    sigma = _merge_first_last(m)
-    if k == 0:
-        slot: XSlot = None
-    elif k % 2 == 0:
-        slot = ("edge", (x[k // 2 - 1][-1], x[k // 2][0]))
-    else:
-        slot = ("block", x[k // 2])
-    return BPair(sigma, slot)
+    sigma, inner = _merge_first_last(m)
+    if inner is None:
+        return BPair(sigma, None)
+    a1, a2 = inner
+    return BPair(sigma, ("block", a1) if a1 == a2 else ("edge", (a1[-1], a2[0])))
 
 
 def _cut_edges(sigma: SetPartition, cut: set[Edge]) -> SetPartition:
@@ -145,9 +145,8 @@ def varphi_d(t: MarkedTriple, check: bool = True) -> DPair:
     if t.epsilon == 0:
         bp = varphi_b(t.pair, check=False)
         return DPair(bp.sigma, bp.x)
-    x = t.marked
-    mid = x[(len(x) + 1) // 2 - 1]
-    return DPair(_merge_first_last(t.pair), ("int", t.epsilon * mid[-1]))
+    sigma, (mid, _) = _merge_first_last(t.pair)
+    return DPair(sigma, ("int", t.epsilon * mid[-1]))
 
 
 def varphi_d_inverse(dp: DPair, check: bool = True) -> MarkedTriple:

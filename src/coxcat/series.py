@@ -23,7 +23,12 @@ DEFAULT_ORDER = 12
 
 def default_order() -> int:
     env = os.environ.get("COXCAT_TRUNC_ORDER")
-    return int(env) if env else DEFAULT_ORDER
+    if not env:
+        return DEFAULT_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"COXCAT_TRUNC_ORDER must be an integer, not {env!r}") from None
 
 
 def _pclean(p: Poly) -> Poly:

@@ -9,6 +9,10 @@ whatever max_n is.  The sweep stops at the first n whose predicate is false
 or raises, and the check's ``detail`` names that n as ``n=<k>``, followed by
 the exception's type and text when one was raised.
 
+The bijection checks sweep rows of the map table (coxcat.maps): a row's
+forward map must send its source onto its target at rank n, its inverse must
+undo it, and its statistic must hold; a check may add conditions of its own.
+
 A suite is the entries that share a suite name.  Suites are pure and
 independent, so they may be sharded across processes.  The acceptance gate
 (tests/test_acceptance.py) runs every entry at its full bound.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import encode, interpret, models, series, typemaps
+from . import encode, maps, models, series, typemaps
 from .core import (
     ValidationError,
     edges,
@@ -38,7 +42,7 @@ from .core import (
     pattern_free,
     type_of,
 )
-from .models import enumerate_family, marked_pairs, marked_triples
+from .models import enumerate_family
 from .signed import (
     count_signed,
     decompose_triple,
@@ -98,15 +102,18 @@ def run_check(entry: Entry, max_n: int) -> Check:
     return Check(entry.suite, entry.name, True)
 
 
-def _bijective(domain, codomain, fwd, inv, keeps=lambda x, y: True) -> bool:
-    """fwd maps domain onto codomain, inv undoes it, and keeps(x, fwd(x)) holds throughout."""
+def _sweep(name: str, n: int, also=lambda x, y: True) -> bool:
+    """The map table's row ``name`` at rank n: its forward map sends the source
+    onto the target, its inverse undoes it, and its statistic and ``also`` hold."""
+    row = maps.MAP[name]
+    sources = list(maps.members(row.source, n))
     images = set()
-    for x in domain:
-        y = fwd(x)
-        if inv(y) != x or not keeps(x, y):
+    for x in sources:
+        y = row.forward(x, check=False)
+        if row.inverse(y, check=False) != x or not row.keeps(x, y) or not also(x, y):
             return False
         images.add(y)
-    return images == set(codomain)
+    return images == set(sources if row.target == row.source else maps.members(row.target, n))
 
 
 def _count(items) -> int:
@@ -251,21 +258,13 @@ def _int_partitions(total: int, mx: int | None = None):
 
 
 def _family_bijective(fam, n):
-    spec = models.SIGNED_FAMILIES[fam]
-    fwd, inv = getattr(interpret, f"phi_{fam}"), getattr(interpret, f"phi_{fam}_inverse")
-
-    def keeps(p, m):
-        want = tuple(sorted(interpret.unmarked_type(m) + interpret._type_clause(fam, m), reverse=True))
-        return models.validate_marked(m, spec.marked) and signed_type(p) == want
-
-    domain = list(models.marked_domain(fam, n))
-    if not _bijective(enumerate_family(fam, n), domain, lambda p: fwd(p, check=False),
-                      lambda m: inv(m, check=False), keeps):
+    if not _sweep(f"phi_{fam}", n):
         return False
     # all four (epsilon = 0?, k mod 2) branches of a type-D clause occur from n = 3 on
-    if spec.marked not in models.MARKED_TRIPLE_CLASSES or n < 3:
+    cls = models.SIGNED_FAMILIES[fam].marked
+    if cls not in models.MARKED_TRIPLE_CLASSES or n < 3:
         return True
-    return len({(t.epsilon == 0, len(t.marked) % 2) for t in domain}) == 4
+    return len({(t.epsilon == 0, len(t.marked) % 2) for t in maps.members(cls, n)}) == 4
 
 
 for _fam in models.SIGNED_FAMILIES:
@@ -277,7 +276,7 @@ def _zero_block_marks(n):
     for fam, spec in models.SIGNED_FAMILIES.items():
         if spec.marked in models.MARKED_TRIPLE_CLASSES:
             continue
-        fwd = getattr(interpret, f"phi_{fam}")
+        fwd = maps.MAP[f"phi_{fam}"].forward
         for p in enumerate_family(fam, n):
             m, z = fwd(p, check=False), p.zero_block()
             if (len(m.marked) % 2 == 1) != (z is not None):
@@ -295,15 +294,11 @@ def _zero_block_marks(n):
 
 @_declare("typemaps", "xi is a type-preserving involution swapping the two statistics", 0, 9)
 def _xi_involution(n):
-    for p in noncrossing_partitions(n):
-        q = typemaps.xi(p, check=False)
-        if typemaps.xi(q, check=False) != p or type_of(q) != type_of(p):
-            return False
-        if len(nonnested_blocks(q)) != len(nonaligned_blocks(p)):
-            return False
-        if len(nonaligned_blocks(q)) != len(nonnested_blocks(p)):
-            return False
-    return True
+    def swaps(p, q):
+        nn_p, na_p = len(nonnested_blocks(p)), len(nonaligned_blocks(p))
+        return len(nonnested_blocks(q)) == na_p and len(nonaligned_blocks(q)) == nn_p
+
+    return _sweep("xi", n, swaps)
 
 
 @_declare("typemaps", "special block sizes correspond elementwise under xi", 0, 9)
@@ -325,45 +320,18 @@ def _joint_symmetry(n):
 
 @_declare("typemaps", "rho is a profile-preserving bijection onto nonnesting partitions", 0, 9)
 def _rho_bijection(n):
-    def keeps(p, q):
-        profile = sorted((b[-1], len(b)) for b in p.blocks)
-        return q == typemaps.rho_by_search(p) and profile == sorted((b[-1], len(b)) for b in q.blocks)
-
-    return _bijective(noncrossing_partitions(n), nonnesting_partitions(n), lambda p: typemaps.rho(p, check=False),
-                      lambda q: typemaps.rho_inverse(q, check=False), keeps)
+    return _sweep("rho", n, lambda p, q: q == typemaps.rho_by_search(p))
 
 
 @_declare("typemaps", "marked-pair maps are bijections on their classes", 1, 6)
 def _marked_pair_maps(n):
-    na, nn = list(marked_pairs(n, "nc_na")), list(marked_pairs(n, "nc_nn"))
-    triples = list(marked_triples(n, "nc_nn_pm"))
-    return (
-        _bijective(na, marked_pairs(n, "nn_na"), lambda m: typemaps.rho_bar(m, check=False),
-                   lambda q: typemaps.rho_bar_inverse(q, check=False),
-                   lambda m, q: models.validate_marked(q, "nn_na"))
-        and _bijective(nn, na, lambda m: typemaps.xi_bar(m, check=False),
-                       lambda q: typemaps.xi_bar_inverse(q, check=False),
-                       lambda m, q: models.validate_marked(q, "nc_na")
-                       and sorted(_sizes(m.marked)) == sorted(_sizes(q.marked)))
-        and _bijective(nn, nn, lambda m: typemaps.iota_b(m, check=False),
-                       lambda q: typemaps.iota_b_inverse(q, check=False),
-                       lambda m, q: len(m.marked) % 2 == 1 or q == m)
-        and _bijective(triples, triples, lambda t: typemaps.iota_d(t, check=False),
-                       lambda q: typemaps.iota_d_inverse(q, check=False),
-                       lambda t, q: t.epsilon != 0 or typemaps.iota_b(t.pair, check=False) == q.pair)
-    )
+    # the triples over [n] have rank n + 1
+    return all(_sweep(name, n) for name in ("rho_bar", "xi_bar", "iota_b")) and _sweep("iota_d", n + 1)
 
 
 @_declare("typemaps", "composed maps are type-preserving bijections", 1, 6)
 def _composed_maps(n):
-    def keeps(p, q):
-        return signed_type(q) == signed_type(p) and zero_block_size(q) == zero_block_size(p)
-
-    return all(
-        _bijective(enumerate_family(src, n), enumerate_family(dst, n), lambda p: typemaps.nc_to_nn(fam, p),
-                   lambda q: typemaps.nn_to_nc(fam, q), keeps)
-        for fam, src, dst in (("B", "nc_b", "nn_b"), ("C", "nc_b", "nn_c"), ("D", "nc_d", "nn_d"))
-    )
+    return all(_sweep(f"nc_to_nn_{letter}", n) for letter in "bcd")
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +376,16 @@ def _closed_symmetric_catalan(n):
 # encode
 
 
-def _b_pair_type(bp) -> tuple[int, ...]:
-    if bp.x is not None and bp.x[0] == "block":
-        return tuple(sorted((len(b) for b in bp.sigma.blocks if b != bp.x[1]), reverse=True))
-    return type_of(bp.sigma)
-
-
-def _d_pair_type(dp) -> tuple[int, ...]:
-    if dp.x is None or dp.x[0] == "edge":
-        return tuple(sorted(_sizes(dp.sigma.blocks) + [1], reverse=True))
-    if dp.x[0] == "block":
-        return _b_pair_type(dp)
-    blk = dp.sigma.block_containing(abs(dp.x[1]))
-    rest = [len(b) for b in dp.sigma.blocks if b != blk]
-    return tuple(sorted(rest + [len(blk) + 1], reverse=True))
-
-
 @_declare("encode", "pair encoding of the B family is bijective with its type clause", 1, 9)
 def _b_pair_encoding(n):
     # The inverse lands in NC_B, psi_b undoes it, and it hits C(2n, n) distinct
     # members, which is |NC_B(n)|: so it is a bijection, with psi_b its inverse.
+    row = maps.MAP["psi_b"]
     members = set()
     pairs = 0
-    for bp in encode.b_pairs(n):
-        p = encode.psi_b_inverse(bp, check=False)
-        if not models.is_member(p, "nc_b") or encode.psi_b(p, check=False) != bp:
-            return False
-        if signed_type(p) != _b_pair_type(bp):
+    for bp in maps.members(row.target, n):
+        p = row.inverse(bp, check=False)
+        if not models.is_member(p, row.source) or row.forward(p, check=False) != bp or not row.keeps(p, bp):
             return False
         members.add(p)
         pairs += 1
@@ -443,12 +394,7 @@ def _b_pair_encoding(n):
 
 @_declare("encode", "pair encoding of the D family is bijective with its type clause", 2, 6)
 def _d_pair_encoding(n):
-    members = enumerate_family("nc_d", n)
-    if len(members) != (3 * n - 2) * CATALAN[n - 1]:
-        return False
-    return _bijective(members, encode.d_pairs(n), lambda p: encode.psi_d(p, check=False),
-                      lambda dp: encode.psi_d_inverse(dp, check=False),
-                      lambda p, dp: signed_type(p) == _d_pair_type(dp))
+    return len(enumerate_family("nc_d", n)) == (3 * n - 2) * CATALAN[n - 1] and _sweep("psi_d", n)
 
 
 @_declare("encode", "pair-set cardinalities match the closed formulas", 1, 8)
@@ -460,38 +406,29 @@ def _pair_set_counts(n):
 
 @_declare("encode", "kappa is a bijection onto the restricted pairs", 1, 6)
 def _kappa_bijection(n):
-    restricted = [m for m in marked_pairs(n, "nc_nn") if encode.is_restricted_pair(m)]
-    return _bijective(marked_triples(n - 1, "nc_nn_pm"), restricted, lambda t: encode.kappa(t, check=False),
-                      lambda k: encode.kappa_inverse(k, check=False), lambda t, k: encode.is_restricted_pair(k))
+    return _sweep("kappa", n)
 
 
 @_declare("encode", "the Dyck-path correspondence is bijective", 0, 6)
 def _dyck_bijection(n):
-    return _bijective(noncrossing_partitions(n), (q for q in encode.lattice_paths(n) if encode.is_dyck(q)),
-                      lambda p: encode.nc_to_dyck(p, check=False), encode.dyck_to_nc)
+    return _sweep("nc_to_dyck", n)
 
 
 @_declare("encode", "path reflection is bijective and restricts to the avoiding paths", 1, 6)
 def _path_reflection(n):
-    pairs = list(marked_pairs(n, "nc_nn"))
-    if not _bijective(pairs, encode.lattice_paths(n), lambda m: encode.g_map(m, check=False), encode.g_map_inverse):
+    if not _sweep("g_map", n):
         return False
     lbar = {q for q in encode.lattice_paths(n) if encode.in_lp_bar(q)}
     if len(lbar) != math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1):
         return False
-    return {encode.g_map(m, check=False) for m in pairs if encode.is_restricted_pair(m)} == lbar
+    return {encode.g_map(m, check=False) for m in maps.members("restricted", n)} == lbar
 
 
 @_declare("encode", "tableau filling is bijective and restricts to the D tableaux", 1, 6)
 def _tableau_filling(n):
-    def keeps(m, t):
-        return encode.tableau_validate(t, "CT_B") and encode.tableau_validate(t, "CT_D") == ((n,) not in m.marked)
-
-    pairs = list(marked_pairs(n, "nc_nn"))
-    if not _bijective(pairs, encode.catalan_tableaux(n, "CT_B"), lambda m: encode.f_map(m, check=False),
-                      lambda t: encode.f_map_inverse(t, check=False), keeps):
+    if not _sweep("f_map", n):
         return False
-    restricted = {encode.f_map(m, check=False) for m in pairs if encode.is_restricted_pair(m)}
+    restricted = {encode.f_map(m, check=False) for m in maps.members("restricted", n)}
     return restricted == set(encode.catalan_tableaux(n, "CT_D"))
 
 
@@ -550,7 +487,7 @@ def run_suites(max_n: int = 6, names: list[str] | None = None, jobs: int = 1) ->
     names = list(SUITES) if not names else names
     for name in names:
         if name not in SUITES:
-            raise KeyError(name)
+            raise ValidationError(f"unknown suite {name!r}")
     if max_n < 1:
         raise ValidationError("max_n must be >= 1")
     if jobs < 1:

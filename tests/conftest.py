@@ -1,24 +1,25 @@
-"""Hypothesis strategies shared by the large-n round-trip tests."""
+"""Random members of the map table's domains (coxcat.maps.DOMAINS) for the
+large-n round-trip tests."""
 
 import random
 
 from hypothesis import strategies as st
 
-from coxcat.core import nonnested_blocks
+from coxcat import maps
+from coxcat.core import nonaligned_blocks, nonnested_blocks
 from coxcat.encode import LatticePath, dyck_to_nc
-from coxcat.models import MarkedPair, MarkedTriple
+from coxcat.models import MARKED_CLASSES, MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple
+from coxcat.typemaps import rho
+
+# The domains random_member draws from; the others are reached through the maps.
+SAMPLED = ("nc_a", "nn_a") + MARKED_CLASSES + MARKED_TRIPLE_CLASSES + tuple(SIGNED_FAMILIES)
 
 
-@st.composite
-def large_noncrossing(draw, lo=20, hi=60):
-    """A noncrossing partition of [n], n in [lo, hi]: a shuffled word of n N's
-    and n + 1 E's, rotated to a Dyck path (cycle lemma) and read by dyck_to_nc.
-
-    The shuffle comes from a drawn integer seed, so a failing example shrinks
-    over two integers rather than over a permutation of up to 121 steps."""
-    n = draw(st.integers(min_value=lo, max_value=hi))
+def random_noncrossing(rng: random.Random, n: int):
+    """A uniform noncrossing partition of [n]: a shuffled word of n N's and
+    n + 1 E's, rotated to a Dyck path (cycle lemma) and read by dyck_to_nc."""
     steps = list("N" * n + "E" * (n + 1))
-    random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))).shuffle(steps)
+    rng.shuffle(steps)
     height = low = start = 0
     for i, s in enumerate(steps):
         height += 1 if s == "N" else -1
@@ -28,16 +29,29 @@ def large_noncrossing(draw, lo=20, hi=60):
     return dyck_to_nc(LatticePath("".join(rotated[:-1])))
 
 
-@st.composite
-def large_marked_pairs(draw):
-    sigma = draw(large_noncrossing())
-    special = nonnested_blocks(sigma)
-    keep = draw(st.lists(st.booleans(), min_size=len(special), max_size=len(special)))
-    return MarkedPair.make(sigma, [b for b, k in zip(special, keep) if k])
+def random_member(rng: random.Random, domain: str, n: int):
+    """A member at rank n of a SAMPLED domain.  Nonnesting partitions are rho
+    images, each special block is marked with probability 1/2, and a signed
+    partition is the image of its marked class under the family's inverse."""
+    if domain in SIGNED_FAMILIES:
+        marked = random_member(rng, SIGNED_FAMILIES[domain].marked, n)
+        return maps.MAP[f"phi_{domain}"].inverse(marked, check=True)
+    base = domain.removesuffix("_pm")
+    is_triple = base != domain
+    sigma = random_noncrossing(rng, n - 1 if is_triple else n)
+    if base.startswith("nn"):
+        sigma = rho(sigma, check=False)
+    if base in ("nc_a", "nn_a"):
+        return sigma
+    special = nonnested_blocks(sigma) if base.endswith("nn") else nonaligned_blocks(sigma)
+    marked = [b for b in special if rng.random() < 0.5]
+    if not is_triple:
+        return MarkedPair.make(sigma, marked)
+    return MarkedTriple.make(sigma, marked, rng.choice((-1, 0, 1)) if marked else 0)
 
 
 @st.composite
-def large_marked_triples(draw):
-    m = draw(large_marked_pairs())
-    epsilon = draw(st.sampled_from((-1, 0, 1))) if m.marked else 0
-    return MarkedTriple.make(m.sigma, m.marked, epsilon)
+def large_member(draw, domain):
+    """random_member at a rank in 20..60; a failing example shrinks over the rank and a seed."""
+    n = draw(st.integers(min_value=20, max_value=60))
+    return random_member(random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))), domain, n)

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import coxcat
-from coxcat.cli import main
-from coxcat.core import SetPartition
+from coxcat import verify
+from coxcat.cli import MAPS, main
+from coxcat.core import SetPartition, ValidationError
 from coxcat.encode import LatticePath, ShiftedTableau, f_map
 from coxcat.jsonio import (
     b_pair_from_obj,
@@ -281,11 +282,103 @@ def test_json_roundtrips_exhaustive_small():
         assert path_from_obj(path_to_obj(path)) == path
 
 
-def test_map_registry_covers_documented_names():
-    from coxcat.cli import MAPS
+# One input per map name and the output the CLI prints for it.  Each input
+# tells its map apart from every other map with the same input and output
+# kinds: those fail on it or print something else, so a name wired to the
+# wrong pair fails here.
+MAP_GOLDEN = {
+    "f_map": ('{"sigma":{"n":2,"blocks":[[1,2]]},"marked":[]}', '{"south":[1],"east":[2],"ones":[[1,2]]}'),
+    "f_map_inverse": ('{"south":[1,2],"east":[],"ones":[]}', '{"sigma":{"n":2,"blocks":[[1],[2]]},"marked":[]}'),
+    "g_map": ('{"sigma":{"n":2,"blocks":[[1,2]]},"marked":[]}', '{"steps":"NNEE"}'),
+    "g_map_inverse": ('{"steps":"NNEE"}', '{"sigma":{"n":2,"blocks":[[1,2]]},"marked":[]}'),
+    "iota_b": ('{"sigma":{"n":6,"blocks":[[1],[2],[3,4],[5],[6]]},"marked":[[1],[2],[3,4],[5],[6]]}',
+               '{"sigma":{"n":6,"blocks":[[1,2],[3],[4],[5],[6]]},"marked":[[1,2],[3],[4],[5],[6]]}'),
+    "iota_b_inverse": ('{"sigma":{"n":6,"blocks":[[1],[2],[3,4],[5],[6]]},"marked":[[1],[2],[3,4],[5],[6]]}',
+                       '{"sigma":{"n":6,"blocks":[[1],[2,3],[4],[5],[6]]},"marked":[[1],[2,3],[4],[5],[6]]}'),
+    "iota_d": ('{"sigma":{"n":5,"blocks":[[1],[2],[3,4],[5]]},"marked":[[1],[2],[3,4],[5]],"epsilon":1}',
+               '{"sigma":{"n":5,"blocks":[[1],[2,3],[4],[5]]},"marked":[[1],[2,3],[4],[5]],"epsilon":1}'),
+    "iota_d_inverse": ('{"sigma":{"n":5,"blocks":[[1],[2],[3,4],[5]]},"marked":[[1],[2],[3,4],[5]],"epsilon":1}',
+                       '{"sigma":{"n":5,"blocks":[[1,2],[3],[4],[5]]},"marked":[[1,2],[3],[4],[5]],"epsilon":1}'),
+    "kappa": ('{"sigma":{"n":2,"blocks":[[1,2]]},"marked":[],"epsilon":0}',
+              '{"sigma":{"n":3,"blocks":[[1,2],[3]]},"marked":[]}'),
+    "kappa_inverse": ('{"sigma":{"n":2,"blocks":[[1,2]]},"marked":[]}',
+                      '{"sigma":{"n":1,"blocks":[[1]]},"marked":[[1]],"epsilon":-1}'),
+    "nc_to_dyck": ('{"n":2,"blocks":[[1,2]]}', '{"steps":"NNEE"}'),
+    "nc_to_dyck_inverse": ('{"steps":"NNEE"}', '{"n":2,"blocks":[[1,2]]}'),
+    "nc_to_nn_b": ('{"n":3,"blocks":[[-3,1],[-1,3],[-2,2]]}', '{"n":3,"blocks":[[-1,1],[-3,2],[-2,3]]}'),
+    "nc_to_nn_c": ('{"n":4,"blocks":[[-4,-3,1],[-1,3,4],[-2,2]]}', '{"n":4,"blocks":[[-2,1,4],[-4,-1,2],[-3,3]]}'),
+    "nc_to_nn_d": ('{"n":4,"blocks":[[-4,-3,-2,1],[-1,2,3,4]]}', '{"n":4,"blocks":[[-2,1,3,4],[-4,-3,-1,2]]}'),
+    "nn_to_nc_b": ('{"n":3,"blocks":[[-1,1],[-3,2],[-2,3]]}', '{"n":3,"blocks":[[-3,1],[-1,3],[-2,2]]}'),
+    "nn_to_nc_c": ('{"n":4,"blocks":[[-3,-1,1,3],[-4,2],[-2,4]]}', '{"n":4,"blocks":[[-4,1],[-1,4],[-3,-2,2,3]]}'),
+    "nn_to_nc_d": ('{"n":4,"blocks":[[-4,-2,1,3],[-3,-1,2,4]]}', '{"n":4,"blocks":[[-3,-2,1,4],[-4,-1,2,3]]}'),
+    "phi_nc_b": ('{"n":3,"blocks":[[-3,-2,1],[-1,2,3]]}',
+                 '{"sigma":{"n":3,"blocks":[[1],[2,3]]},"marked":[[1],[2,3]]}'),
+    "phi_nc_b_inverse": ('{"sigma":{"n":4,"blocks":[[1,4],[2,3]]},"marked":[]}',
+                         '{"n":4,"blocks":[[1,4],[-4,-1],[2,3],[-3,-2]]}'),
+    "phi_nc_d": ('{"n":4,"blocks":[[-4,-3,-2,1],[-1,2,3,4]]}',
+                 '{"sigma":{"n":3,"blocks":[[1],[2,3]]},"marked":[[1],[2,3]],"epsilon":-1}'),
+    "phi_nc_d_inverse": ('{"sigma":{"n":4,"blocks":[[1,4],[2,3]]},"marked":[],"epsilon":0}',
+                         '{"n":5,"blocks":[[1,4],[-4,-1],[2,3],[-3,-2],[5],[-5]]}'),
+    "phi_nn_b": ('{"n":3,"blocks":[[-1,1],[-3,2],[-2,3]]}',
+                 '{"sigma":{"n":3,"blocks":[[1],[2],[3]]},"marked":[[1],[2],[3]]}'),
+    "phi_nn_b_inverse": ('{"sigma":{"n":3,"blocks":[[1],[2],[3]]},"marked":[[1],[2],[3]]}',
+                         '{"n":3,"blocks":[[-1,1],[-3,2],[-2,3]]}'),
+    "phi_nn_c": ('{"n":4,"blocks":[[-3,-1,1,3],[-4,2],[-2,4]]}',
+                 '{"sigma":{"n":4,"blocks":[[1,3],[2],[4]]},"marked":[[2],[1,3],[4]]}'),
+    "phi_nn_c_inverse": ('{"sigma":{"n":4,"blocks":[[1,3],[2],[4]]},"marked":[[2],[1,3],[4]]}',
+                         '{"n":4,"blocks":[[-3,-1,1,3],[-4,2],[-2,4]]}'),
+    "phi_nn_d": ('{"n":4,"blocks":[[-4,-2,1,3],[-3,-1,2,4]]}',
+                 '{"sigma":{"n":3,"blocks":[[1,3],[2]]},"marked":[[2],[1,3]],"epsilon":1}'),
+    "phi_nn_d_inverse": ('{"sigma":{"n":4,"blocks":[[1,3],[2,4]]},"marked":[],"epsilon":0}',
+                         '{"n":5,"blocks":[[1,3],[-3,-1],[2,4],[-4,-2],[5],[-5]]}'),
+    "psi_b": ('{"n":2,"blocks":[[-2,-1,1,2]]}', '{"sigma":{"n":2,"blocks":[[1,2]]},"x":{"block":[1,2]}}'),
+    "psi_b_inverse": ('{"sigma":{"n":2,"blocks":[[1,2]]},"x":null}', '{"n":2,"blocks":[[1,2],[-2,-1]]}'),
+    "psi_d": ('{"n":2,"blocks":[[-2,-1,1,2]]}', '{"sigma":{"n":1,"blocks":[[1]]},"x":{"block":[1]}}'),
+    "psi_d_inverse": ('{"sigma":{"n":2,"blocks":[[1,2]]},"x":null}', '{"n":3,"blocks":[[1,2],[-2,-1],[3],[-3]]}'),
+    "rho": ('{"n":4,"blocks":[[1,4],[2,3]]}', '{"n":4,"blocks":[[1,3],[2,4]]}'),
+    "rho_bar": ('{"sigma":{"n":4,"blocks":[[1,4],[2,3]]},"marked":[]}',
+                '{"sigma":{"n":4,"blocks":[[1,3],[2,4]]},"marked":[]}'),
+    "rho_bar_inverse": ('{"sigma":{"n":4,"blocks":[[1,3],[2,4]]},"marked":[]}',
+                        '{"sigma":{"n":4,"blocks":[[1,4],[2,3]]},"marked":[]}'),
+    "rho_inverse": ('{"n":4,"blocks":[[1,3],[2,4]]}', '{"n":4,"blocks":[[1,4],[2,3]]}'),
+    "xi": ('{"n":3,"blocks":[[1],[2,3]]}', '{"n":3,"blocks":[[1,3],[2]]}'),
+    "xi_bar": ('{"sigma":{"n":3,"blocks":[[1],[2,3]]},"marked":[[1]]}',
+               '{"sigma":{"n":3,"blocks":[[1,3],[2]]},"marked":[[2]]}'),
+    "xi_bar_inverse": ('{"sigma":{"n":3,"blocks":[[1,3],[2]]},"marked":[[2]]}',
+                       '{"sigma":{"n":3,"blocks":[[1],[2,3]]},"marked":[[1]]}'),
+}
 
-    for name in (
-        "rho", "xi", "phi_nc_b", "phi_nn_d_inverse", "psi_b", "psi_d",
-        "kappa", "nc_to_dyck", "g_map", "f_map", "nc_to_nn_b", "nn_to_nc_d",
-    ):
-        assert name in MAPS
+
+def test_map_registry_covers_documented_names():
+    assert len(MAP_GOLDEN) == 39
+    assert sorted(MAPS) == sorted(MAP_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(MAP_GOLDEN))
+def test_map_golden(capsys, monkeypatch, name):
+    given, want = MAP_GOLDEN[name]
+    code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin=given, monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, json.dumps(json.loads(want)) + "\n", "")
+
+
+@pytest.mark.parametrize("command", [["map", "--name", "rho"], ["render", "--mode", "arcs"]], ids=["map", "render"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_input_exits_without_traceback(tmp_path, command, where):
+    path = tmp_path / "absent.json" if where == "missing" else tmp_path
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *command, "--input", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {path}") and "Traceback" not in proc.stderr
+
+
+def test_bad_truncation_order_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("COXCAT_TRUNC_ORDER", "abc")
+    code, out, err = run_cli(capsys, ["series"])
+    assert code == 1 and out == ""
+    assert err == "error: COXCAT_TRUNC_ORDER must be an integer, not 'abc'\n"
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    with pytest.raises(ValidationError, match="^unknown suite 'nope'$"):
+        verify.run_suites(names=["nope"])

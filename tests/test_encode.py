@@ -2,8 +2,6 @@ import itertools
 import math
 
 import pytest
-from conftest import large_marked_pairs, large_marked_triples
-from hypothesis import given, settings
 
 from coxcat.core import SetPartition, ValidationError, noncrossing_partitions
 from coxcat.encode import (
@@ -36,7 +34,6 @@ from coxcat.encode import (
     varphi_d,
     varphi_d_inverse,
 )
-from coxcat.interpret import phi_nc_b_inverse, phi_nc_d_inverse
 from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, marked_pairs, marked_triples
 from coxcat.signed import SignedPartition
 
@@ -278,26 +275,3 @@ def test_tableau_validate_matches_reference_on_every_filling():
                         assert tableau_validate(stray, kind) == want
                         cases += 1
     assert cases == 3 * 2449  # every filling of every shape with n <= 4, three kinds
-
-
-# ---------------------------------------------------------------------------
-# Large-n round trips on random noncrossing partitions
-
-
-@settings(max_examples=60, deadline=None)
-@given(large_marked_pairs())
-def test_large_marked_pair_roundtrips(m):
-    t = f_map(m, check=True)
-    assert tableau_validate(t, "CT_B")
-    assert f_map_inverse(t, check=True) == m
-    assert g_map_inverse(g_map(m, check=True)) == m
-    p = phi_nc_b_inverse(m, check=True)
-    assert psi_b_inverse(psi_b(p, check=True), check=True) == p
-
-
-@settings(max_examples=60, deadline=None)
-@given(large_marked_triples())
-def test_large_marked_triple_roundtrips(t):
-    assert kappa_inverse(kappa(t, check=True), check=True) == t
-    p = phi_nc_d_inverse(t, check=True)
-    assert psi_d_inverse(psi_d(p, check=True), check=True) == p

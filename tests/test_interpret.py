@@ -2,9 +2,10 @@ import random
 import re
 
 import pytest
+from conftest import random_member
 
-from coxcat.core import SetPartition, ValidationError, nonaligned_blocks, nonnested_blocks
-from coxcat.encode import LatticePath, dyck_to_nc
+from coxcat import maps
+from coxcat.core import SetPartition, ValidationError
 from coxcat.interpret import (
     pairing,
     phi_nc_b,
@@ -20,13 +21,11 @@ from coxcat.interpret import (
     type_clause_b,
     type_clause_nc_d,
     type_clause_nn_b,
-    type_clause_nn_c,
     type_clause_nn_d,
     unmarked_type,
 )
-from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, is_member
+from coxcat.models import SIGNED_FAMILIES, MarkedPair, MarkedTriple, enumerate_family, is_member
 from coxcat.signed import SignedPartition, signed_type
-from coxcat.typemaps import rho
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
@@ -189,44 +188,13 @@ def test_roundtrip_and_type_clause_small(family, fwd, inv, clause):
             assert signed_type(p) == want
 
 
-def _random_nc(rng: random.Random, n: int) -> SetPartition:
-    """A uniform noncrossing partition of [n]: a Dyck path by the cycle lemma, read by dyck_to_nc."""
-    steps = ["N"] * n + ["E"] * (n + 1)
-    rng.shuffle(steps)
-    height = low = start = 0
-    for i, s in enumerate(steps):
-        height += 1 if s == "N" else -1
-        if height < low:
-            low, start = height, i + 1
-    rotated = steps[start:] + steps[:start]
-    return dyck_to_nc(LatticePath("".join(rotated[:-1])))
-
-
-@pytest.mark.parametrize(
-    "family,cls,fwd,inv,clause",
-    [
-        ("nc_b", "nc_nn", phi_nc_b, phi_nc_b_inverse, type_clause_b),
-        ("nn_b", "nn_na", phi_nn_b, phi_nn_b_inverse, type_clause_nn_b),
-        ("nn_c", "nn_na", phi_nn_c, phi_nn_c_inverse, type_clause_nn_c),
-        ("nc_d", "nc_nn_pm", phi_nc_d, phi_nc_d_inverse, type_clause_nc_d),
-        ("nn_d", "nn_na_pm", phi_nn_d, phi_nn_d_inverse, type_clause_nn_d),
-    ],
-    ids=["nc_b", "nn_b", "nn_c", "nc_d", "nn_d"],
-)
-def test_random_large_roundtrip_and_type_clause(family, cls, fwd, inv, clause):
+@pytest.mark.parametrize("family", list(SIGNED_FAMILIES))
+def test_random_large_roundtrip_and_type_clause(family):
+    row = maps.MAP[f"phi_{family}"]
     rng = random.Random(f"coxcat-{family}")
-    is_triple = cls.endswith("_pm")
     for n in list(range(20, 41)) * 5:
-        sigma = _random_nc(rng, n - 1 if is_triple else n)
-        if cls.startswith("nn"):
-            sigma = rho(sigma, check=False)
-        special = nonnested_blocks(sigma) if cls[3:5] == "nn" else nonaligned_blocks(sigma)
-        marked = [b for b in special if rng.random() < 0.5]
-        if is_triple:
-            m = MarkedTriple.make(sigma, marked, rng.choice((-1, 0, 1)) if marked else 0)
-        else:
-            m = MarkedPair.make(sigma, marked)
-        p = inv(m)
+        m = random_member(rng, row.target, n)
+        p = row.inverse(m, check=True)
         assert is_member(p, family)
-        assert fwd(p) == m
-        assert signed_type(p) == tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
+        assert row.forward(p, check=True) == m
+        assert row.keeps(p, m)
