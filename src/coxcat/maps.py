@@ -19,8 +19,8 @@ from .models import (
     MARKED_TRIPLE_CLASSES,
     SIGNED_FAMILIES,
     enumerate_family,
+    marked_members,
     marked_pairs,
-    marked_triples,
     validate_marked,
 )
 from .signed import signed_type, zero_block_size
@@ -63,21 +63,14 @@ def _profile(p) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Domains: name -> (JSON kind, members at rank n).  The kind names the jsonio
-# parse and dump.  A marked triple over [n - 1] has rank n, like the type-D
-# partitions it encodes.  The entries are plain tuples, which a rebinding of
+# parse and dump.  The entries are plain tuples, which a rebinding of
 # module-level dict values reaches.
-
-
-def _marked(cls: str) -> tuple:
-    if cls in MARKED_TRIPLE_CLASSES:
-        return "marked_triple", lambda n: marked_triples(n - 1, cls)
-    return "marked_pair", lambda n: marked_pairs(n, cls)
-
 
 DOMAINS = {
     "nc_a": ("set_partition", noncrossing_partitions),
     "nn_a": ("set_partition", nonnesting_partitions),
-    **{cls: _marked(cls) for cls in MARKED_CLASSES + MARKED_TRIPLE_CLASSES},
+    **{cls: ("marked_pair", lambda n, cls=cls: marked_members(cls, n)) for cls in MARKED_CLASSES},
+    **{cls: ("marked_triple", lambda n, cls=cls: marked_members(cls, n)) for cls in MARKED_TRIPLE_CLASSES},
     **{fam: ("signed_partition", lambda n, fam=fam: enumerate_family(fam, n)) for fam in SIGNED_FAMILIES},
     "restricted": ("marked_pair", lambda n: (m for m in marked_pairs(n, "nc_nn") if encode.is_restricted_pair(m))),
     "b_pairs": ("b_pair", encode.b_pairs),
@@ -86,11 +79,6 @@ DOMAINS = {
     "paths": ("path", encode.lattice_paths),
     "CT_B": ("tableau", lambda n: encode.catalan_tableaux(n, "CT_B")),
 }
-
-
-def members(domain: str, n: int):
-    """Every member of a domain at rank n."""
-    return DOMAINS[domain][1](n)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def enumerate_family(family: str, n: int):
         # interpret builds its maps on this module, so it is imported at call time
         from .interpret import _inverse
 
-        items = [_inverse(family, m, check=False) for m in marked_domain(family, n)]
+        items = [_inverse(family, m, check=False) for m in marked_members(SIGNED_FAMILIES[family].marked, n)]
     else:
         raise ValidationError(f"unknown family {family!r}")
     return tuple(sorted(items, key=lambda p: p.blocks))
@@ -264,9 +264,9 @@ def marked_triples(n: int, cls_name: str) -> Iterator[MarkedTriple]:
             yield MarkedTriple(pair.sigma, pair.marked, eps)
 
 
-def marked_domain(family: str, n: int) -> Iterator[MarkedPair | MarkedTriple]:
-    """The marked pairs or triples in bijection with a signed family at rank n."""
-    cls_name = SIGNED_FAMILIES[family].marked
+def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]:
+    """The members of a marked class at rank n.  A marked triple over [n - 1]
+    has rank n, like the type-D partitions it encodes."""
     if cls_name in MARKED_TRIPLE_CLASSES:
         return marked_triples(n - 1, cls_name)
     return marked_pairs(n, cls_name)

@@ -102,26 +102,28 @@ def run_check(entry: Entry, max_n: int) -> Check:
     return Check(entry.suite, entry.name, True)
 
 
-def _sweep(name: str, n: int, also=lambda x, y: True) -> bool:
+def _sweep(name: str, n: int, also=lambda x, y: True, known: dict | None = None) -> dict | None:
     """The map table's row ``name`` at rank n: its forward map sends the source
-    onto the target, its inverse undoes it, and its statistic and ``also`` hold."""
+    one to one onto the target, its inverse undoes it, and its statistic and
+    ``also`` hold.  Returns the images keyed by their sources, or None.
+    ``known`` holds the domains already listed at rank n and gains the others."""
     row = maps.MAP[name]
-    sources = list(maps.members(row.source, n))
-    images = set()
+    known = {} if known is None else known
+    for d in (row.source, row.target):
+        if d not in known:
+            known[d] = list(maps.DOMAINS[d][1](n))
+    sources = known[row.source]
+    image = {}
     for x in sources:
         y = row.forward(x, check=False)
         if row.inverse(y, check=False) != x or not row.keeps(x, y) or not also(x, y):
-            return False
-        images.add(y)
-    return images == set(sources if row.target == row.source else maps.members(row.target, n))
+            return None
+        image[x] = y
+    return image if len(image) == len(sources) and set(image.values()) == set(known[row.target]) else None
 
 
 def _count(items) -> int:
     return sum(1 for _ in items)
-
-
-def _sizes(blocks) -> list[int]:
-    return [len(b) for b in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +260,13 @@ def _int_partitions(total: int, mx: int | None = None):
 
 
 def _family_bijective(fam, n):
-    if not _sweep(f"phi_{fam}", n):
+    image = _sweep(f"phi_{fam}", n)
+    if image is None:
         return False
     # all four (epsilon = 0?, k mod 2) branches of a type-D clause occur from n = 3 on
-    cls = models.SIGNED_FAMILIES[fam].marked
-    if cls not in models.MARKED_TRIPLE_CLASSES or n < 3:
+    if models.SIGNED_FAMILIES[fam].marked not in models.MARKED_TRIPLE_CLASSES or n < 3:
         return True
-    return len({(t.epsilon == 0, len(t.marked) % 2) for t in maps.members(cls, n)}) == 4
+    return len({(t.epsilon == 0, len(t.marked) % 2) for t in image.values()}) == 4
 
 
 for _fam in models.SIGNED_FAMILIES:
@@ -298,16 +300,16 @@ def _xi_involution(n):
         nn_p, na_p = len(nonnested_blocks(p)), len(nonaligned_blocks(p))
         return len(nonnested_blocks(q)) == na_p and len(nonaligned_blocks(q)) == nn_p
 
-    return _sweep("xi", n, swaps)
+    return _sweep("xi", n, swaps) is not None
 
 
 @_declare("typemaps", "special block sizes correspond elementwise under xi", 0, 9)
 def _xi_block_sizes(n):
     for p in noncrossing_partitions(n):
         q = typemaps.xi(p, check=False)
-        if _sizes(nonnested_blocks(p)) != _sizes(nonaligned_blocks(q)):
+        if maps._sizes(nonnested_blocks(p)) != maps._sizes(nonaligned_blocks(q)):
             return False
-        if _sizes(nonaligned_blocks(p)) != _sizes(nonnested_blocks(q)):
+        if maps._sizes(nonaligned_blocks(p)) != maps._sizes(nonnested_blocks(q)):
             return False
     return True
 
@@ -320,18 +322,21 @@ def _joint_symmetry(n):
 
 @_declare("typemaps", "rho is a profile-preserving bijection onto nonnesting partitions", 0, 9)
 def _rho_bijection(n):
-    return _sweep("rho", n, lambda p, q: q == typemaps.rho_by_search(p))
+    return _sweep("rho", n, lambda p, q: q == typemaps.rho_by_search(p)) is not None
 
 
 @_declare("typemaps", "marked-pair maps are bijections on their classes", 1, 6)
 def _marked_pair_maps(n):
+    known = {}
+    if any(_sweep(name, n, known=known) is None for name in ("rho_bar", "xi_bar", "iota_b")):
+        return False
     # the triples over [n] have rank n + 1
-    return all(_sweep(name, n) for name in ("rho_bar", "xi_bar", "iota_b")) and _sweep("iota_d", n + 1)
+    return _sweep("iota_d", n + 1) is not None
 
 
 @_declare("typemaps", "composed maps are type-preserving bijections", 1, 6)
 def _composed_maps(n):
-    return all(_sweep(f"nc_to_nn_{letter}", n) for letter in "bcd")
+    return all(_sweep(f"nc_to_nn_{letter}", n) is not None for letter in "bcd")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +388,7 @@ def _b_pair_encoding(n):
     row = maps.MAP["psi_b"]
     members = set()
     pairs = 0
-    for bp in maps.members(row.target, n):
+    for bp in maps.DOMAINS[row.target][1](n):
         p = row.inverse(bp, check=False)
         if not models.is_member(p, row.source) or row.forward(p, check=False) != bp or not row.keeps(p, bp):
             return False
@@ -394,7 +399,8 @@ def _b_pair_encoding(n):
 
 @_declare("encode", "pair encoding of the D family is bijective with its type clause", 2, 6)
 def _d_pair_encoding(n):
-    return len(enumerate_family("nc_d", n)) == (3 * n - 2) * CATALAN[n - 1] and _sweep("psi_d", n)
+    image = _sweep("psi_d", n)
+    return image is not None and len(image) == (3 * n - 2) * CATALAN[n - 1]
 
 
 @_declare("encode", "pair-set cardinalities match the closed formulas", 1, 8)
@@ -406,30 +412,31 @@ def _pair_set_counts(n):
 
 @_declare("encode", "kappa is a bijection onto the restricted pairs", 1, 6)
 def _kappa_bijection(n):
-    return _sweep("kappa", n)
+    return _sweep("kappa", n) is not None
 
 
 @_declare("encode", "the Dyck-path correspondence is bijective", 0, 6)
 def _dyck_bijection(n):
-    return _sweep("nc_to_dyck", n)
+    return _sweep("nc_to_dyck", n) is not None
 
 
 @_declare("encode", "path reflection is bijective and restricts to the avoiding paths", 1, 6)
 def _path_reflection(n):
-    if not _sweep("g_map", n):
+    image = _sweep("g_map", n)
+    if image is None:
         return False
     lbar = {q for q in encode.lattice_paths(n) if encode.in_lp_bar(q)}
     if len(lbar) != math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1):
         return False
-    return {encode.g_map(m, check=False) for m in maps.members("restricted", n)} == lbar
+    return {q for m, q in image.items() if encode.is_restricted_pair(m)} == lbar
 
 
 @_declare("encode", "tableau filling is bijective and restricts to the D tableaux", 1, 6)
 def _tableau_filling(n):
-    if not _sweep("f_map", n):
+    image = _sweep("f_map", n)
+    if image is None:
         return False
-    restricted = {encode.f_map(m, check=False) for m in maps.members("restricted", n)}
-    return restricted == set(encode.catalan_tableaux(n, "CT_D"))
+    return {t for m, t in image.items() if encode.is_restricted_pair(m)} == set(encode.catalan_tableaux(n, "CT_D"))
 
 
 # ---------------------------------------------------------------------------

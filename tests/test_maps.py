@@ -14,7 +14,7 @@ from coxcat import maps
 
 
 @pytest.mark.parametrize("row", maps.PAIRS, ids=lambda row: row.name)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_large_round_trip(row, data):
     x = data.draw(large_member(row.source), label="source")
