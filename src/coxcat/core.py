@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
@@ -232,7 +231,12 @@ def slice_partition(p: SetPartition, lo: int, hi: int) -> SetPartition:
 
 
 def partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of [n], in restricted-growth-string order."""
+    """All partitions of [n], in restricted-growth-string order.
+
+    Independent of the open-block scan below, so that filtering these by
+    noncrossing_wrt or nonnesting_wrt checks the two generators built on it.
+    """
+    _check_n(n)
     if n == 0:
         yield EMPTY
         return
@@ -252,72 +256,42 @@ def partitions(n: int) -> Iterator[SetPartition]:
     yield from rec(1, 0)
 
 
-_NC_CACHE_MAX = 10
+def _check_n(n: int, least: int = 0) -> None:
+    if n < least:
+        raise ValidationError(f"n must be >= {least}")
 
 
-@lru_cache(maxsize=None)
-def _nc_list(m: int) -> tuple[tuple[Block, ...], ...]:
-    return tuple(_iter_nc(m))
+def _open_block_scan(n: int, noncrossing: bool) -> Iterator[SetPartition]:
+    """The noncrossing (or else the nonnesting) partitions of [n], by one scan of 1..n.
 
+    The open blocks, those that may still grow, are kept ordered by their
+    last element.  Each element starts a block or extends open block i, which
+    makes an arc from that block's last element.  A later element joining a
+    block after i would cross the new arc, and one joining a block before i
+    would nest over it, so the scan closes the blocks after i for noncrossing
+    and the blocks before i for nonnesting.  Every partition of the family is
+    reached once, by the one sequence of choices that builds it.
+    """
+    _check_n(n)
 
-def _iter_nc(m: int) -> Iterator[tuple[Block, ...]]:
-    # recursive gap decomposition on the block containing 1
-    if m == 0:
-        yield ()
-        return
-    rest = range(2, m + 1)
-    for k in range(m):
-        for comb in itertools.combinations(rest, k):
-            first = (1,) + comb
-            segs = []
-            prev = 1
-            for x in comb:
-                segs.append((prev + 1, x - 1))
-                prev = x
-            segs.append((prev + 1, m))
-            yield from _fill_segments((first,), segs, 0)
+    def rec(x: int, open_bs: tuple[Block, ...], done: tuple[Block, ...]) -> Iterator[SetPartition]:
+        if x > n:
+            yield SetPartition(n, tuple(sorted(done + open_bs)))
+            return
+        yield from rec(x + 1, open_bs + ((x,),), done)
+        for i, b in enumerate(open_bs):
+            before, after = open_bs[:i], open_bs[i + 1:]
+            kept, closed = (before, after) if noncrossing else (after, before)
+            yield from rec(x + 1, kept + (b + (x,),), done + closed)
 
-
-def _fill_segments(acc: tuple[Block, ...], segs, idx) -> Iterator[tuple[Block, ...]]:
-    if idx == len(segs):
-        yield tuple(sorted(acc))
-        return
-    lo, hi = segs[idx]
-    ln = hi - lo + 1
-    if ln <= 0:
-        yield from _fill_segments(acc, segs, idx + 1)
-        return
-    subs = _nc_list(ln) if ln <= _NC_CACHE_MAX else _iter_nc(ln)
-    for sub in subs:
-        shifted = tuple(tuple(x + lo - 1 for x in b) for b in sub)
-        yield from _fill_segments(acc + shifted, segs, idx + 1)
+    yield from rec(1, (), ())
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:
-    """All noncrossing partitions of [n]."""
-    for bs in (_nc_list(n) if n <= _NC_CACHE_MAX else _iter_nc(n)):
-        yield SetPartition(n, bs)
+    """All noncrossing partitions of [n]; ValidationError for negative n."""
+    yield from _open_block_scan(n, noncrossing=True)
 
 
 def nonnesting_partitions(n: int) -> Iterator[SetPartition]:
-    """All nonnesting partitions of [n].
-
-    Scans 1..n keeping the blocks that may still grow, ordered by their last
-    element.  Extending a block forecloses growth of every block whose last
-    element is smaller; that restriction is exactly nonnesting.
-    """
-    if n == 0:
-        yield EMPTY
-        return
-
-    def rec(p: int, open_bs: tuple[Block, ...], done: tuple[Block, ...]) -> Iterator[tuple[Block, ...]]:
-        if p > n:
-            yield tuple(sorted(done + open_bs))
-            return
-        yield from rec(p + 1, open_bs + ((p,),), done)
-        for i in range(len(open_bs)):
-            ext = open_bs[i] + (p,)
-            yield from rec(p + 1, open_bs[i + 1:] + (ext,), done + open_bs[:i])
-
-    for bs in rec(1, (), ()):
-        yield SetPartition(n, bs)
+    """All nonnesting partitions of [n]; ValidationError for negative n."""
+    yield from _open_block_scan(n, noncrossing=False)

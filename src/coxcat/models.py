@@ -20,6 +20,7 @@ from .core import (
     Block,
     SetPartition,
     ValidationError,
+    _check_n,
     noncrossing_partitions,
     noncrossing_wrt,
     nonnesting_partitions,
@@ -28,7 +29,7 @@ from .core import (
     nonnested_blocks,
     type_of,
 )
-from .signed import SignedPartition, count_signed, enumerate_signed, signed_type, zero_block_size
+from .signed import SignedPartition, count_signed, enumerate_signed, signed_type
 
 FAMILIES = ("nc_a", "nn_a", "pi_b", "nc_b", "nc_d", "nn_b", "nn_c", "nn_d")
 UNSIGNED_FAMILIES = ("nc_a", "nn_a")
@@ -289,11 +290,6 @@ def _exact_div(a: int, b: int) -> int:
 
 # The least n of each family's domain; elsewhere n = 0 gives the one empty object.
 _LEAST_N = {"nc_d": 1, "nn_d": 1}
-
-
-def _check_n(n: int, least: int = 0) -> None:
-    if n < least:
-        raise ValidationError(f"n must be >= {least}")
 
 
 def count_family(family: str, n: int) -> int:

@@ -207,12 +207,23 @@ def _catalan_counts(n):
 
 @_declare("models", "bijective enumerations agree with filtering signed partitions", 1, 6)
 def _enumeration_by_filter(n):
+    # Filter by what the family's phi row accepts with check=True: with
+    # check=False the B/C forward maps (and the two D ones) compute the same
+    # image, so only the check tells a row wired to a sibling's map apart.
     signed = list(enumerate_signed(n))
     return all(
         enumerate_family(fam, n)
-        == tuple(sorted((p for p in signed if models.is_member(p, fam)), key=lambda p: p.blocks))
+        == tuple(sorted((p for p in signed if _accepts(maps.MAP[f"phi_{fam}"].forward, p)), key=lambda p: p.blocks))
         for fam in models.SIGNED_FAMILIES
     )
+
+
+def _accepts(forward, p) -> bool:
+    try:
+        forward(p, check=True)
+    except ValidationError:
+        return False
+    return True
 
 
 @_declare("models", "family cardinalities match the closed formulas", 1, 6)

@@ -9,7 +9,7 @@ import coxcat
 from coxcat import verify
 from coxcat.cli import MAPS, main
 from coxcat.core import SetPartition, ValidationError
-from coxcat.encode import LatticePath, ShiftedTableau, f_map
+from coxcat.encode import f_map
 from coxcat.jsonio import (
     b_pair_from_obj,
     b_pair_to_obj,
@@ -29,9 +29,8 @@ from coxcat.jsonio import (
     tableau_from_obj,
     tableau_to_obj,
 )
-from coxcat.models import MarkedPair, MarkedTriple, enumerate_family
-from coxcat.render import render_arcs, render_path, render_tableau
-from coxcat.signed import SignedPartition
+from coxcat.models import MarkedPair, enumerate_family
+from coxcat.render import render_arcs, render_tableau
 
 sp = SetPartition.from_blocks
 
@@ -127,6 +126,10 @@ def test_map_rejects_mistyped_json(capsys, monkeypatch, name, payload):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def _script_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -135,8 +138,7 @@ def test_map_rejects_mistyped_json(capsys, monkeypatch, name, payload):
     ],
 )
 def test_count_bad_type_exits_without_traceback(args):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *args], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *args], capture_output=True, text=True, env=_script_env())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -365,11 +367,21 @@ def test_map_golden(capsys, monkeypatch, name):
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unreadable_input_exits_without_traceback(tmp_path, command, where):
     path = tmp_path / "absent.json" if where == "missing" else tmp_path
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
     proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *command, "--input", str(path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_script_env())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot read {path}") and "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    # 58,786 lines fill the pipe, so the script is still writing when the reader goes away
+    proc = subprocess.Popen([sys.executable, "-m", "coxcat.cli", "enumerate", "--family", "nc_a", "--n", "11"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_script_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert json.loads(first) == {"n": 11, "blocks": [[x] for x in range(1, 12)]}
 
 
 def test_bad_truncation_order_names_the_variable(capsys, monkeypatch):

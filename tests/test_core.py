@@ -110,6 +110,26 @@ def test_enumerators_yield_valid_members():
     assert nested not in set(nonnesting_partitions(5))
 
 
+@pytest.mark.parametrize(
+    "generate, avoids",
+    [(noncrossing_partitions, noncrossing_wrt), (nonnesting_partitions, nonnesting_wrt)],
+    ids=["noncrossing", "nonnesting"],
+)
+def test_scan_matches_filtered_partitions(generate, avoids):
+    # partitions() is the restricted-growth recursion, independent of the scan
+    for n in range(10):
+        order = tuple(range(1, n + 1))
+        got = list(generate(n))
+        assert len(set(got)) == len(got)
+        assert set(got) == {p for p in partitions(n) if avoids(p, order)}
+
+
+@pytest.mark.parametrize("generate", [partitions, noncrossing_partitions, nonnesting_partitions])
+def test_negative_n_is_rejected(generate):
+    with pytest.raises(ValidationError, match="^n must be >= 0$"):
+        next(generate(-1))
+
+
 def test_quadruple_crossing_agrees_with_arc_test_exhaustively():
     for n in range(7):
         order = tuple(range(1, n + 1))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coxcat.core import SetPartition, ValidationError, noncrossing_partitions
+from coxcat.core import SetPartition, ValidationError
 from coxcat.encode import (
     BPair,
     DPair,
@@ -17,12 +17,9 @@ from coxcat.encode import (
     f_map_inverse,
     g_map,
     g_map_inverse,
-    in_lp_bar,
     is_dyck,
-    is_restricted_pair,
     kappa,
     kappa_inverse,
-    lattice_paths,
     nc_to_dyck,
     psi_b,
     psi_b_inverse,
@@ -31,10 +28,8 @@ from coxcat.encode import (
     tableau_validate,
     varphi_b,
     varphi_b_inverse,
-    varphi_d,
-    varphi_d_inverse,
 )
-from coxcat.models import MarkedPair, MarkedTriple, enumerate_family, marked_pairs, marked_triples
+from coxcat.models import MarkedPair, MarkedTriple
 from coxcat.signed import SignedPartition
 
 sp = SetPartition.from_blocks
@@ -109,17 +104,6 @@ def test_kappa_branches():
         assert kappa_inverse(k) == t
 
 
-def test_kappa_exhaustive():
-    for n in range(1, 6):
-        restricted = {m for m in marked_pairs(n, "nc_nn") if is_restricted_pair(m)}
-        images = set()
-        for t in marked_triples(n - 1, "nc_nn_pm"):
-            k = kappa(t, check=False)
-            assert kappa_inverse(k, check=False) == t
-            images.add(k)
-        assert images == restricted
-
-
 def test_dyck_examples():
     assert nc_to_dyck(sp([[1, 2]])).steps == "NNEE"
     assert nc_to_dyck(sp([[1]])).steps == "NE"
@@ -151,12 +135,6 @@ def test_g_map_fig8():
     assert g_map(MarkedPair.make(sp([[1]]), [(1,)])).steps == "EN"
     plain = MarkedPair.make(sp([[1, 2], [3]]), [])
     assert g_map(plain).steps == nc_to_dyck(plain.sigma).steps
-
-
-def test_lp_bar_count():
-    for n in range(1, 6):
-        count = sum(1 for p in lattice_paths(n) if in_lp_bar(p))
-        assert count == math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1)
 
 
 def test_f_map_fig10():
@@ -193,13 +171,6 @@ def test_tableau_structure_validation():
         ShiftedTableau.make([1, 2], [2], [])
     with pytest.raises(ValidationError):
         ShiftedTableau.make([1], [2], [(-2, 1)])
-
-
-def test_ct_d_iff_top_not_marked():
-    for n in range(1, 6):
-        for m in marked_pairs(n, "nc_nn"):
-            t = f_map(m, check=False)
-            assert tableau_validate(t, "CT_D") == ((n,) not in m.marked)
 
 
 def test_catalan_tableaux_counts():
