@@ -8,8 +8,9 @@ and blocks are ordered by their minimum element.  The empty partition
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 Block = tuple[int, ...]
 Edge = tuple[int, int]
@@ -32,20 +33,34 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":
-        canon = []
-        for b in blocks:
-            t = tuple(sorted(b))
-            if not t:
-                raise ValidationError("empty block")
-            if len(set(t)) != len(t):
-                raise ValidationError(f"repeated element in block {t}")
-            canon.append(t)
-        elems = sorted(x for b in canon for x in b)
-        if n is None:
-            n = elems[-1] if elems else 0
-        if elems != list(range(1, n + 1)):
-            raise ValidationError(f"blocks do not partition [{n}]: {canon}")
-        return cls(n, tuple(sorted(canon)))
+        """Validate integer blocks and put them in canonical form, in O(n).
+
+        n must be >= 0; when it is None it is the largest element.  One pass
+        records owner[x], the index of the block holding x, and rejects a
+        non-integer element, an empty block, a repeated element and the
+        blocks not partitioning [n].  The canonical order is read off the
+        array: scanning x = 1..n appends x to its block, and a block is
+        placed when its minimum is reached.
+        """
+        if n is not None:
+            _check_n(n)
+        bs = [tuple(b) for b in blocks]
+        try:
+            if n is None:
+                n = max((max(b) for b in bs if b), default=0)
+            owner = [-1] * (n + 1)
+            for i, b in enumerate(bs):
+                if not b:
+                    raise ValidationError("empty block")
+                for x in b:
+                    if not 0 < x <= n or owner[x] >= 0:
+                        _reject(bs, n)
+                    owner[x] = i
+        except TypeError:
+            raise ValidationError(_NOT_INTEGERS) from None
+        if sum(map(len, bs)) != n:
+            _reject(bs, n)
+        return cls(n, _read_off(owner, len(bs), range(1, n + 1), owner[1:]))
 
     def block_containing(self, x: int) -> Block:
         for b in self.blocks:
@@ -58,6 +73,38 @@ class SetPartition:
 
 
 EMPTY = SetPartition(0, ())
+
+_NOT_INTEGERS = "block elements and n must be integers"
+
+
+def _reject(bs: list[tuple], n: int, signed: bool = False) -> NoReturn:
+    """Raise the error for blocks in which the ownership pass met a stray or repeated element.
+
+    Each block in turn is checked for emptiness, a repeat and (signed) the
+    element 0; then comes the cover of [n] or [+-n].
+    """
+    canon = [tuple(sorted(b)) for b in bs]
+    for t in canon:
+        if not t:
+            raise ValidationError("empty block")
+        if len(set(t)) != len(t):
+            raise ValidationError(f"repeated element in block {t}")
+        if signed and 0 in t:
+            raise ValidationError("0 is not a ground-set element")
+    raise ValidationError(f"blocks do not partition [+-{n}]" if signed else f"blocks do not partition [{n}]: {canon}")
+
+
+def _read_off(owner: list[int], count: int, ground: Iterable[int], firsts: Iterable[int]) -> tuple[Block, ...]:
+    """Blocks 0..count-1 of the ownership array owner, in canonical form.
+
+    Walking the ground set in ascending order appends each element to its
+    block, so every block comes out ascending; the blocks are then listed in
+    the order in which firsts, a sequence of block indices, first names them.
+    """
+    members: list[list[int]] = [[] for _ in range(count)]
+    for x in ground:
+        members[owner[x]].append(x)
+    return tuple([tuple(members[i]) for i in dict.fromkeys(firsts)])
 
 
 def edges(p: SetPartition) -> tuple[Edge, ...]:
@@ -215,15 +262,35 @@ def nonnesting_wrt(blocks, order: Sequence[int]) -> bool:
 
 
 def slice_partition(p: SetPartition, lo: int, hi: int) -> SetPartition:
-    """The induced partition on {lo, ..., hi}, relabeled to {1, ..., hi-lo+1}."""
+    """The induced partition on {lo, ..., hi}, relabeled to {1, ..., hi-lo+1}.
+
+    Each block is cut with bisect, and the scan stops at the first block whose
+    minimum passes hi.  The cut blocks need no sort: a block with minimum at
+    least lo keeps its minimum, shifted, and such blocks stay in order.  Only
+    a block that starts before lo and reaches into the range takes a new
+    minimum; when one does, the blocks are sorted.  In a noncrossing
+    partition none does when lo = 1, or when lo - 1 or lo shares a block with
+    hi or a larger element, since an arc of that block would cross it: the
+    slices taken by typemaps.decompose and typemaps.rearrange are all of this
+    kind.
+    """
     if lo > hi:
         return EMPTY
+    shift = lo - 1
     blocks = []
+    straddles = False
     for b in p.blocks:
-        t = tuple(x - lo + 1 for x in b if lo <= x <= hi)
-        if t:
-            blocks.append(t)
-    return SetPartition(hi - lo + 1, tuple(sorted(blocks)))
+        if b[0] > hi:
+            break
+        if b[-1] < lo:
+            continue
+        cut = b[bisect_left(b, lo):bisect_right(b, hi)]
+        if cut:
+            blocks.append(tuple([x - shift for x in cut]) if shift else cut)
+            straddles = straddles or b[0] < lo
+    if straddles:
+        blocks.sort()
+    return SetPartition(hi - lo + 1, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +302,29 @@ def partitions(n: int) -> Iterator[SetPartition]:
 
     Independent of the open-block scan below, so that filtering these by
     noncrossing_wrt or nonnesting_wrt checks the two generators built on it.
+    The strings are stepped in place (TAOCP 7.2.1.5): raise the last entry
+    that is at most the maximum before it, and zero the entries after it.
     """
     _check_n(n)
     if n == 0:
         yield EMPTY
         return
     rgs = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[SetPartition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(mx + 1)]
-            for k, j in enumerate(rgs):
-                blocks[j].append(k + 1)
-            yield SetPartition(n, tuple(tuple(b) for b in blocks))
+    top = [0] * n  # top[i] = max(rgs[:i + 1])
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(top[-1] + 1)]
+        for k, j in enumerate(rgs):
+            blocks[j].append(k + 1)
+        yield SetPartition(n, tuple(tuple(b) for b in blocks))
+        i = n - 1
+        while i and rgs[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for j in range(mx + 2):
-            rgs[i] = j
-            yield from rec(i + 1, max(mx, j))
-
-    yield from rec(1, 0)
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        rgs[i + 1:] = [0] * (n - 1 - i)
+        top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
 def _check_n(n: int, least: int = 0) -> None:
@@ -271,20 +342,50 @@ def _open_block_scan(n: int, noncrossing: bool) -> Iterator[SetPartition]:
     would nest over it, so the scan closes the blocks after i for noncrossing
     and the blocks before i for nonnesting.  Every partition of the family is
     reached once, by the one sequence of choices that builds it.
+
+    The search over choices runs on an explicit stack, so any n works: each
+    placed element leaves its choice and what that choice closed, which is
+    enough to undo it.  Choice -1 starts a block; they are tried in order -1,
+    0, 1, ... as the recursive form of the scan would.
     """
     _check_n(n)
-
-    def rec(x: int, open_bs: tuple[Block, ...], done: tuple[Block, ...]) -> Iterator[SetPartition]:
+    open_bs: list[Block] = []
+    done: list[Block] = []
+    stack: list[tuple[int, Block, list[Block]]] = []  # (choice, extended block, closed blocks)
+    x, choice = 1, -1
+    while True:
         if x > n:
             yield SetPartition(n, tuple(sorted(done + open_bs)))
+        elif choice < len(open_bs):
+            if choice < 0:
+                b, closed = (), []
+            else:
+                b = open_bs[choice]
+                if noncrossing:
+                    closed = open_bs[choice + 1:]
+                    del open_bs[choice:]
+                else:
+                    closed = open_bs[:choice]
+                    del open_bs[:choice + 1]
+                done += closed
+            open_bs.append(b + (x,))
+            stack.append((choice, b, closed))
+            x, choice = x + 1, -1
+            continue
+        # a partition was yielded, or every choice for x is spent: undo the
+        # choice for x - 1 and take its next
+        if not stack:
             return
-        yield from rec(x + 1, open_bs + ((x,),), done)
-        for i, b in enumerate(open_bs):
-            before, after = open_bs[:i], open_bs[i + 1:]
-            kept, closed = (before, after) if noncrossing else (after, before)
-            yield from rec(x + 1, kept + (b + (x,),), done + closed)
-
-    yield from rec(1, (), ())
+        choice, b, closed = stack.pop()
+        x -= 1
+        open_bs.pop()
+        if b:
+            if noncrossing:
+                open_bs += [b] + closed
+            else:
+                open_bs[:0] = closed + [b]
+            del done[len(done) - len(closed):]
+        choice += 1
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:

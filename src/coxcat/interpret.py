@@ -25,6 +25,7 @@ from .models import (
     _class_parts,
     d_reduce,
     is_member,
+    member_triple,
     validate_marked,
 )
 from .signed import SignedPartition, _from_pairs
@@ -63,10 +64,20 @@ def _epsilon_of_top_block(bn: Block, n: int) -> int:
     return -1
 
 
+def _not_member(family: str) -> ValidationError:
+    return ValidationError(f"not a type-{family[-1].upper()} non{SIGNED_FAMILIES[family].pattern} partition")
+
+
 def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | MarkedTriple:
     spec = SIGNED_FAMILIES[family]
+    if check and spec.order == "bijection":
+        # the type-D membership test computes the forward image on the way
+        triple = member_triple(p, family)
+        if triple is None:
+            raise _not_member(family)
+        return triple
     if check and not is_member(p, family):
-        raise ValidationError(f"not a type-{family[-1].upper()} non{spec.pattern} partition")
+        raise _not_member(family)
     n = p.n
     if spec.marked not in MARKED_TRIPLE_CLASSES:
         return MarkedPair.make(*_positive_parts(p, n + 1))

@@ -124,17 +124,20 @@ def is_member(p, family: str) -> bool:
         return True
     spec = SIGNED_FAMILIES[family]
     if spec.order == "bijection":
-        return _is_member_d(p, family)
+        return member_triple(p, family) is not None
     order = _ORDERS[spec.order](p.n)
     # 0 sits between the halves of the type-B nesting order and joins the zero block
     blocks = _with_zero_element(p) if 0 in order else p
     return (noncrossing_wrt if spec.pattern == "crossing" else nonnesting_wrt)(blocks, order)
 
 
-def _is_member_d(p: SignedPartition, family: str) -> bool:
-    """Type-D membership, decided as lying in the image of the marked-triple
+def member_triple(p, family: str) -> MarkedTriple | None:
+    """The marked triple of p when p is a member of the type-D family, else None.
+
+    Membership is decided as lying in the image of the marked-triple
     bijection: the forward reading must give a valid triple and its inverse
-    must reproduce the input.
+    must reproduce the input.  That triple is the forward image, so a checked
+    forward map reads it from here instead of computing it again.
 
     The zero-block condition plus the top-element reduction do not
     characterize the D families: splitting the merged zero block back can
@@ -144,17 +147,19 @@ def _is_member_d(p: SignedPartition, family: str) -> bool:
     # interpret builds its maps on this module, so it is imported at call time
     from . import interpret
 
+    if not isinstance(p, SignedPartition):
+        raise ValidationError(f"family {family} needs a signed partition")
     n = p.n
     z = p.zero_block()
     if z is not None and not {n, -n} < set(z):
-        return False
+        return None
     try:
         triple = interpret._forward(family, p, check=False)
     except ValidationError:
-        return False
+        return None
     if not validate_marked(triple, SIGNED_FAMILIES[family].marked):
-        return False
-    return interpret._inverse(family, triple, check=False) == p
+        return None
+    return triple if interpret._inverse(family, triple, check=False) == p else None
 
 
 @functools.lru_cache(maxsize=64)

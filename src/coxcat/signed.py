@@ -8,11 +8,12 @@ drives both enumeration and the Stirling/involution counting formula.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator
 
-from .core import Block, SetPartition, ValidationError, partitions
+from .core import _NOT_INTEGERS, Block, SetPartition, ValidationError, _check_n, _read_off, _reject, partitions
 
 
 @dataclass(frozen=True)
@@ -29,33 +30,49 @@ class SignedPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SignedPartition":
-        canon = []
-        for b in blocks:
-            t = tuple(sorted(b))
-            if not t:
-                raise ValidationError("empty block")
-            if len(set(t)) != len(t):
-                raise ValidationError(f"repeated element in block {t}")
-            if 0 in t:
-                raise ValidationError("0 is not a ground-set element")
-            canon.append(t)
-        elems = sorted(x for b in canon for x in b)
-        if n is None:
-            n = max((abs(x) for x in elems), default=0)
-        expected = [x for x in range(-n, n + 1) if x != 0]
-        if elems != expected:
-            raise ValidationError(f"blocks do not partition [+-{n}]")
-        block_set = set(canon)
-        zero_count = 0
-        for b in canon:
-            neg = tuple(-x for x in reversed(b))  # b is ascending, so neg is too
-            if neg not in block_set:
-                raise ValidationError(f"mirror of block {b} is missing")
-            if neg == b:
-                zero_count += 1
-        if zero_count > 1:
+        """Validate integer blocks and put them in canonical form, in O(n).
+
+        n must be >= 0; when it is None it is the largest absolute value.  One
+        pass records owner[x], the index of the block holding x (owner[-x] is
+        the entry 2n + 1 - x), and rejects a non-integer element, an empty
+        block, a repeated element, 0 in a block and the blocks not
+        partitioning [+-n].  Then the owners of the negated elements of each
+        block must all name one block, its mirror, and at most one block may
+        be its own mirror.  The canonical order is read off the array: for
+        x = 1..n the block of x, then the block of -x, is placed unless
+        already placed.
+        """
+        if n is not None:
+            _check_n(n)
+        bs = [tuple(b) for b in blocks]
+        try:
+            if n is None:
+                n = max((max(map(abs, b)) for b in bs if b), default=0)
+            owner = [-1] * (2 * n + 1)
+            for i, b in enumerate(bs):
+                if not b:
+                    raise ValidationError("empty block")
+                for x in b:
+                    if not (x and -n <= x <= n) or owner[x] >= 0:
+                        _reject(bs, n, signed=True)
+                    owner[x] = i
+        except TypeError:
+            raise ValidationError(_NOT_INTEGERS) from None
+        if sum(map(len, bs)) != 2 * n:
+            _reject(bs, n, signed=True)
+        # Block j = mirror[i] holds the negation of the first element of block
+        # i; every block has its mirror iff, for each x, -x lies in the mirror
+        # of x's block.  owner[:0:-1] lists the owners of -1, ..., -n, n, ..., 1.
+        mirror = [owner[-b[0]] for b in bs]
+        if owner[:0:-1] != list(map(mirror.__getitem__, owner[1:])):
+            for b, j in zip(bs, mirror):
+                if sorted(-x for x in b) != sorted(bs[j]):
+                    raise ValidationError(f"mirror of block {tuple(sorted(b))} is missing")
+        if sum(map(operator.eq, mirror, range(len(bs)))) > 1:
             raise ValidationError("more than one zero block")
-        return cls(n, tuple(sorted(canon, key=_block_key)))
+        ground = itertools.chain(range(-n, 0), range(1, n + 1))
+        firsts = itertools.chain.from_iterable(zip(owner[1:n + 1], owner[:n:-1]))
+        return cls(n, _read_off(owner, len(bs), ground, firsts))
 
     def block_containing(self, x: int) -> Block:
         for b in self.blocks:
@@ -71,11 +88,6 @@ class SignedPartition:
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
-
-
-def _block_key(b: Block) -> tuple[int, int]:
-    m = min(abs(x) for x in b)
-    return (m, 0 if m in b else 1)
 
 
 EMPTY_SIGNED = SignedPartition(0, ())
@@ -162,18 +174,18 @@ def compose_triple(
 
 def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -> SignedPartition:
     """Each pair (A, A') gives A u -A' and its mirror, one zero block when A = A';
-    each block of sigma outside marked gives itself and its mirror."""
+    each block of sigma outside marked gives itself and its mirror.  The blocks
+    go out unsorted: from_blocks puts them in canonical form."""
     out: list[Block] = []
     for a1, a2 in pairs:
-        mixed = tuple(sorted(a1 + tuple(-x for x in a2)))
-        mirror = tuple(-x for x in reversed(mixed))
+        mixed = a1 + tuple([-x for x in a2])
         out.append(mixed)
-        if mirror != mixed:
-            out.append(mirror)
+        if a1 != a2:
+            out.append(tuple([-x for x in mixed]))
     for b in sigma.blocks:
         if b not in marked:
             out.append(b)
-            out.append(tuple(-x for x in reversed(b)))
+            out.append(tuple([-x for x in b]))
     return SignedPartition.from_blocks(out, n)
 
 

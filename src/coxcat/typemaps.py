@@ -10,6 +10,7 @@ noncrossing and nonnesting partitions of types B, C and D.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -141,26 +142,39 @@ def rho_bar_inverse(m: MarkedPair, check: bool = True) -> MarkedPair:
 
 
 def uplus(a: SetPartition, b: SetPartition) -> SetPartition:
-    """Concatenate, shifting the second partition past the first."""
-    shifted = tuple(tuple(x + a.n for x in blk) for blk in b.blocks)
-    return SetPartition(a.n + b.n, tuple(sorted(a.blocks + shifted)))
+    """Concatenate, shifting the second partition past the first.
+
+    Canonical without a sort: every shifted block of b has its minimum above
+    a.n, so it follows every block of a, and the shift keeps b's order.
+    """
+    d = a.n
+    shifted = tuple([tuple([x + d for x in blk]) for blk in b.blocks])
+    return SetPartition(a.n + b.n, a.blocks + shifted)
 
 
 def is_connected(p: SetPartition) -> bool:
-    """1 and n lie in the same block (false for the empty partition)."""
-    return p.n >= 1 and p.n in p.block_containing(1)
+    """1 and n lie in the same block (false for the empty partition).
+
+    The block holding 1 is the first block of the canonical form.
+    """
+    return p.n >= 1 and p.blocks[0][-1] == p.n
 
 
 def star(a: SetPartition, b: SetPartition) -> SetPartition:
-    """Concatenate and attach one new final element to the connected part's block."""
+    """Concatenate and attach one new final element to the connected part's block.
+
+    Canonical without a sort: the output of uplus is canonical, and the new
+    element joins the block that ends at a.n, the first block as a is
+    connected, leaving every minimum as it was.  With a empty the new element
+    is a singleton after every block of b.
+    """
+    top = a.n + b.n + 1
     if a.n == 0:
-        return uplus(b, SetPartition(1, ((1,),)))
+        return SetPartition(top, b.blocks + ((top,),))
     if not is_connected(a):
         raise ValidationError("the first argument must be connected or empty")
     u = uplus(a, b)
-    top = u.n + 1
-    blocks = tuple(blk + (top,) if a.n in blk else blk for blk in u.blocks)
-    return SetPartition(top, tuple(sorted(blocks)))
+    return SetPartition(top, (u.blocks[0] + (top,),) + u.blocks[1:])
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,7 @@ def decompose(p: SetPartition, variant: int) -> NcDecomposition:
     if variant not in (1, 2):
         raise ValidationError("variant must be 1 or 2")
     n = p.n
-    top_block = p.block_containing(n)
+    top_block = next(b for b in p.blocks if b[-1] == n)
     if top_block == (n,):
         inner = slice_partition(p, 1, n - 1)
         out = NcDecomposition(inner, EMPTY, EMPTY) if variant == 1 else NcDecomposition(EMPTY, EMPTY, inner)
@@ -205,13 +219,13 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
     if check and not is_member(p, "nc_a"):
         raise ValidationError("not a noncrossing partition")
     n = p.n
-    k = n
-    block_sizes = {b[-1]: len(b) for b in p.blocks}
-    while k >= 1 and p.block_containing(k) == (k,):
-        k -= 1
+    # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
+    k, j = n, len(p.blocks)
+    while k >= 1 and p.blocks[j - 1] == (k,):
+        k, j = k - 1, j - 1
     if k == 0:
         return p
-    core = slice_partition(p, 1, k)
+    core = SetPartition(k, p.blocks[:j])
 
     firsts: list[tuple[SetPartition, SetPartition]] = []  # (connected_i, tail_i)
     cur = core
@@ -245,9 +259,9 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
         out = uplus(out, star(conn, prefix))
     out = uplus(out, nested)
 
-    singles = tuple((i,) for i in range(k + 1, n + 1))
-    result = SetPartition(n, tuple(sorted(out.blocks + singles)))
-    if sorted(len(b) for b in result.blocks) != sorted(block_sizes.values()):
+    # out partitions [k], so the trailing singletons follow its blocks
+    result = SetPartition(n, out.blocks + p.blocks[j:])
+    if Counter(map(len, result.blocks)) != Counter(map(len, p.blocks)):
         raise InternalInvariantError("block type must be preserved")
     return result
 

@@ -200,9 +200,7 @@ def _signed_enumeration(n):
 
 @_declare("models", "noncrossing and nonnesting counts are Catalan", 1, 12)
 def _catalan_counts(n):
-    if _count(noncrossing_partitions(n)) != CATALAN[n]:
-        return False
-    return n > 10 or _count(nonnesting_partitions(n)) == CATALAN[n]
+    return _count(noncrossing_partitions(n)) == CATALAN[n] == _count(nonnesting_partitions(n))
 
 
 @_declare("models", "bijective enumerations agree with filtering signed partitions", 1, 6)

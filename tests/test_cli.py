@@ -143,6 +143,13 @@ def test_count_bad_type_exits_without_traceback(args):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["xi", "rho", "phi_nc_b", "nc_to_nn_b"])
+def test_map_negative_n_exits_without_traceback(name):
+    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", "map", "--name", name, "--input", "-"],
+                          input='{"n": -2, "blocks": []}', capture_output=True, text=True, env=_script_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: n must be >= 0\n")
+
+
 def test_count_empty_type_at_n0(capsys):
     code, out, _ = run_cli(capsys, ["count", "--family", "nc_a", "--n", "0", "--type", ""])
     assert code == 0 and out.strip() == "1"

@@ -51,6 +51,24 @@ def test_invalid_partitions(blocks):
         sp(blocks)
 
 
+@pytest.mark.parametrize("blocks, n", [([], -3), ([], -1), ([[1]], -1)])
+def test_from_blocks_rejects_negative_n(blocks, n):
+    with pytest.raises(ValidationError, match=r"^n must be >= 0$"):
+        sp(blocks, n)
+
+
+@pytest.mark.parametrize(
+    "generate, first",
+    [
+        (noncrossing_partitions, tuple((x,) for x in range(1, 3001))),
+        (nonnesting_partitions, tuple((x,) for x in range(1, 3001))),
+        (partitions, (tuple(range(1, 3001)),)),
+    ],
+)
+def test_generators_yield_at_large_n(generate, first):
+    assert next(generate(3000)) == SetPartition(3000, first)
+
+
 def test_edges_examples():
     assert edges(FIG2) == ((1, 4), (2, 3), (4, 10), (5, 6), (6, 7), (7, 9))
     assert edges(sp([[1], [2], [3]])) == ()

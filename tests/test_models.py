@@ -106,6 +106,11 @@ def test_marked_class_sizes():
     assert sum(1 for _ in marked_triples(3, "nc_nn_pm")) == 50
 
 
+def test_marked_pairs_yield_at_large_n():
+    singletons = SetPartition(1200, tuple((x,) for x in range(1, 1201)))
+    assert next(marked_pairs(1200, "nc_nn")) == MarkedPair(singletons, ())
+
+
 @pytest.mark.parametrize(
     "family,n,lam,expected",
     [

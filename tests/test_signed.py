@@ -42,6 +42,12 @@ def test_validate_rejects(blocks):
         validate_signed(blocks)
 
 
+@pytest.mark.parametrize("blocks, n", [([], -2), ([], -1), ([[1], [-1]], -1)])
+def test_validate_rejects_negative_n(blocks, n):
+    with pytest.raises(ValidationError, match=r"^n must be >= 0$"):
+        SignedPartition.from_blocks(blocks, n)
+
+
 def test_validate_accepts_plain_mirror():
     p = validate_signed([[1, 2], [-1, -2], [3, -3]])
     assert p.zero_block() == (-3, 3)
