@@ -119,8 +119,13 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: one error line, exit 1 (subparsers share the class)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="coxcat", description="Noncrossing and nonnesting partitions of classical types")
+    ap = _Parser(prog="coxcat", description="Noncrossing and nonnesting partitions of classical types")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the members of a family")

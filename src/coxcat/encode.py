@@ -466,19 +466,12 @@ def f_map_inverse(t: ShiftedTableau, check: bool = True) -> MarkedPair:
             if c in joins:
                 raise ValidationError("a column joins two blocks")
             joins[c] = i
-    parent = {i: i for i in range(1, t.n + 1)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, i in joins.items():
-        parent[find(c)] = find(i)
+    # each join points from a column c to a smaller row i, so i's block is settled when c is reached
+    least: dict[int, int] = {}  # element -> the least element of its block
     blocks: dict[int, list[int]] = {}
     for v in range(1, t.n + 1):
-        blocks.setdefault(find(v), []).append(v)
+        least[v] = least.get(joins[v], joins[v]) if v in joins else v
+        blocks.setdefault(least[v], []).append(v)
     sigma = SetPartition.from_blocks(blocks.values(), t.n)
     marked = [b for b in sigma.blocks if b[0] in diag_marked]
     return MarkedPair.make(sigma, marked)

@@ -90,6 +90,14 @@ def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | Marke
     return MarkedTriple.make(*_positive_parts(p, n), _epsilon_of_top_block(bn, n))
 
 
+def held_marks(family: str, m: MarkedPair | MarkedTriple) -> slice:
+    """The slice of m.marked (sorted by maximum) that the family's inverse holds, by the module docstring's rule."""
+    k = len(m.marked)
+    h = 2 - k % 2 if isinstance(m, MarkedTriple) and m.epsilon else k % 2
+    s = (k - h) // 2 if SIGNED_FAMILIES[family].held == "middle" else 0
+    return slice(s, s + h)
+
+
 def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block]]:
     """The pairs (A, A') whose blocks A u -A' and their mirrors make up the image.
 
@@ -97,16 +105,13 @@ def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block
     Otherwise a held mark A gives (A, A), the zero block, which takes +-n
     along for a triple; a triple without held marks gets ((n,), ()).
     """
-    x, k = m.marked, len(m.marked)
-    triple = isinstance(m, MarkedTriple)
-    eps = m.epsilon if triple else 0
-    h = 2 - k % 2 if eps else k % 2
-    s = (k - h) // 2 if SIGNED_FAMILIES[family].held == "middle" else 0
-    held, rest = x[s:s + h], x[:s] + x[s + h:]
+    top = (m.sigma.n + 1,) if isinstance(m, MarkedTriple) else ()
+    eps = m.epsilon if top else 0
+    at = held_marks(family, m)
+    held, rest = m.marked[at], m.marked[:at.start] + m.marked[at.stop:]
     pairs = [(rest[i], rest[-1 - i]) for i in range(len(rest) // 2)]
-    top = (m.sigma.n + 1,) if triple else ()
     if eps:
-        pairs.append((held[0] + (eps * top[0],), held[1] if h == 2 else ()))
+        pairs.append((held[0] + (eps * top[0],), held[1] if len(held) == 2 else ()))
     elif held:
         pairs.append((held[0] + top, held[0] + top))
     elif top:

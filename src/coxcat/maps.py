@@ -139,9 +139,7 @@ PAIRS = (
            lambda m, q: validate_marked(q, "nc_na") and _sizes(q.marked) == _sizes(m.marked)),
     _named(typemaps, "iota_b", "nc_nn", "nc_nn", lambda m, q: len(m.marked) % 2 == 1 or q == m),
     _named(typemaps, "iota_d", "nc_nn_pm", "nc_nn_pm", _iota_d_keeps),
-    _composed("B", "nc_b", "nn_b"),
-    _composed("C", "nc_b", "nn_c"),
-    _composed("D", "nc_d", "nn_d"),
+    *(_composed(letter, nc, nn) for letter, (nc, nn) in typemaps.CHAINS.items()),
     _named(encode, "psi_b", "nc_b", "b_pairs", lambda p, bp: signed_type(p) == _b_pair_type(bp)),
     _named(encode, "psi_d", "nc_d", "d_pairs", lambda p, dp: signed_type(p) == _d_pair_type(dp)),
     _named(encode, "kappa", "nc_nn_pm", "restricted", lambda t, m: encode.is_restricted_pair(m)),

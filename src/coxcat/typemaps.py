@@ -24,19 +24,8 @@ from .core import (
     nonnesting_partitions,
     slice_partition,
 )
-from .interpret import (
-    phi_nc_b,
-    phi_nc_b_inverse,
-    phi_nc_d,
-    phi_nc_d_inverse,
-    phi_nn_b,
-    phi_nn_b_inverse,
-    phi_nn_c,
-    phi_nn_c_inverse,
-    phi_nn_d,
-    phi_nn_d_inverse,
-)
-from .models import MarkedPair, MarkedTriple, is_member, validate_marked
+from . import interpret
+from .models import MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple, is_member, validate_marked
 from .signed import SignedPartition
 
 
@@ -311,88 +300,76 @@ def rearrange(m: MarkedPair, perm: tuple[int, ...]) -> MarkedPair:
     return MarkedPair(out, tuple(new_spans[i] for i in marked_idx))
 
 
-def _iota_perm_b(k: int) -> tuple[int, ...]:
-    if k % 2 == 0:
-        return tuple(range(1, k + 1))
-    t = k // 2
-    return (t + 1,) + tuple(range(1, t + 1)) + tuple(range(t + 2, k + 1))
+def _on_pair(f, m: MarkedPair | MarkedTriple) -> MarkedPair | MarkedTriple:
+    """Apply a marked-pair map to m, or to the pair of a triple keeping its sign."""
+    if isinstance(m, MarkedTriple):
+        out = f(m.pair)
+        return MarkedTriple(out.sigma, out.marked, m.epsilon)
+    return f(m)
 
 
-def _iota_perm_d(k: int, epsilon: int) -> tuple[int, ...]:
-    if k % 2 == 1:
-        return _iota_perm_b(k)
-    if epsilon == 0:
-        return tuple(range(1, k + 1))
-    t = k // 2
-    return (t, t + 1) + tuple(range(1, t)) + tuple(range(t + 2, k + 1))
-
-
-def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v - 1] = i + 1
-    return tuple(inv)
+def _iota(family: str, m: MarkedPair | MarkedTriple, check: bool, inverse: bool = False) -> MarkedPair | MarkedTriple:
+    """Move the marked components that family's inverse holds to the front, the rest keeping their order."""
+    cls = SIGNED_FAMILIES[family].marked
+    if check and not validate_marked(m, cls):
+        shape = "triple" if cls in MARKED_TRIPLE_CLASSES else "pair"
+        raise ValidationError(f"not a marked noncrossing {shape} with nonnested marks")
+    held = interpret.held_marks(family, m)
+    s, h = held.start, held.stop - held.start
+    # components a+1..a+w go first, then 1..a: the held ones, or for the inverse the s they overtook
+    a, w = (h, s) if inverse else (s, h)
+    perm = (*range(a + 1, a + w + 1), *range(1, a + 1), *range(a + w + 1, len(m.marked) + 1))
+    return _on_pair(lambda pair: rearrange(pair, perm), m)
 
 
 def iota_b(m: MarkedPair, check: bool = True) -> MarkedPair:
     """Move the middle marked component to the front when their count is odd."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
-    return rearrange(m, _iota_perm_b(len(m.marked)))
+    return _iota("nc_b", m, check)
 
 
 def iota_b_inverse(m: MarkedPair, check: bool = True) -> MarkedPair:
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
-    return rearrange(m, _invert_perm(_iota_perm_b(len(m.marked))))
+    return _iota("nc_b", m, check, inverse=True)
 
 
 def iota_d(t: MarkedTriple, check: bool = True) -> MarkedTriple:
     """Bring the component(s) that will absorb the top element to the front."""
-    if check and not validate_marked(t, "nc_nn_pm"):
-        raise ValidationError("not a marked noncrossing triple with nonnested marks")
-    out = rearrange(t.pair, _iota_perm_d(len(t.marked), t.epsilon))
-    return MarkedTriple(out.sigma, out.marked, t.epsilon)
+    return _iota("nc_d", t, check)
 
 
 def iota_d_inverse(t: MarkedTriple, check: bool = True) -> MarkedTriple:
-    if check and not validate_marked(t, "nc_nn_pm"):
-        raise ValidationError("not a marked noncrossing triple with nonnested marks")
-    out = rearrange(t.pair, _invert_perm(_iota_perm_d(len(t.marked), t.epsilon)))
-    return MarkedTriple(out.sigma, out.marked, t.epsilon)
+    return _iota("nc_d", t, check, inverse=True)
 
 
 # ---------------------------------------------------------------------------
 # Composed type-preserving bijections
 
+# type letter -> (noncrossing family, nonnesting family).  A chain runs phi, iota where the
+# two families hold their marks in different places, xi_bar, rho_bar and the nonnesting inverse.
+CHAINS = {"B": ("nc_b", "nn_b"), "C": ("nc_b", "nn_c"), "D": ("nc_d", "nn_d")}
+
+
+def _chain(family: str) -> tuple[str, str, bool]:
+    """The chain's two families, and whether it runs iota."""
+    if family.upper() not in CHAINS:
+        raise ValidationError(f"unknown family {family!r}")
+    nc, nn = CHAINS[family.upper()]
+    return nc, nn, SIGNED_FAMILIES[nc].held != SIGNED_FAMILIES[nn].held
+
 
 def nc_to_nn(family: str, p: SignedPartition) -> SignedPartition:
     """Type-preserving bijection from the noncrossing to the nonnesting family."""
-    fam = family.upper()
-    if fam == "B":
-        m = iota_b(phi_nc_b(p), check=False)
-        return phi_nn_b_inverse(rho_bar(xi_bar(m, check=False), check=False), check=False)
-    if fam == "C":
-        m = phi_nc_b(p)
-        return phi_nn_c_inverse(rho_bar(xi_bar(m, check=False), check=False), check=False)
-    if fam == "D":
-        t = iota_d(phi_nc_d(p), check=False)
-        pair = rho_bar(xi_bar(t.pair, check=False), check=False)
-        return phi_nn_d_inverse(MarkedTriple(pair.sigma, pair.marked, t.epsilon), check=False)
-    raise ValidationError(f"unknown family {family!r}")
+    nc, nn, moves = _chain(family)
+    m = interpret._forward(nc, p, check=True)
+    if moves:
+        m = _iota(nc, m, check=False)
+    m = _on_pair(lambda pair: rho_bar(xi_bar(pair, check=False), check=False), m)
+    return interpret._inverse(nn, m, check=False)
 
 
 def nn_to_nc(family: str, p: SignedPartition) -> SignedPartition:
-    fam = family.upper()
-    if fam == "B":
-        m = xi_bar_inverse(rho_bar_inverse(phi_nn_b(p), check=False), check=False)
-        return phi_nc_b_inverse(iota_b_inverse(m, check=False), check=False)
-    if fam == "C":
-        m = xi_bar_inverse(rho_bar_inverse(phi_nn_c(p), check=False), check=False)
-        return phi_nc_b_inverse(m, check=False)
-    if fam == "D":
-        t = phi_nn_d(p)
-        pair = xi_bar_inverse(rho_bar_inverse(t.pair, check=False), check=False)
-        back = iota_d_inverse(MarkedTriple(pair.sigma, pair.marked, t.epsilon), check=False)
-        return phi_nc_d_inverse(back, check=False)
-    raise ValidationError(f"unknown family {family!r}")
+    nc, nn, moves = _chain(family)
+    m = interpret._forward(nn, p, check=True)
+    m = _on_pair(lambda pair: xi_bar_inverse(rho_bar_inverse(pair, check=False), check=False), m)
+    if moves:
+        m = _iota(nc, m, check=False, inverse=True)
+    return interpret._inverse(nc, m, check=False)

@@ -345,7 +345,7 @@ def _marked_pair_maps(n):
 
 @_declare("typemaps", "composed maps are type-preserving bijections", 1, 6)
 def _composed_maps(n):
-    return all(_sweep(f"nc_to_nn_{letter}", n) is not None for letter in "bcd")
+    return all(_sweep(f"nc_to_nn_{letter.lower()}", n) is not None for letter in typemaps.CHAINS)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,19 @@ def test_count_bad_type_exits_without_traceback(args):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    ("count --family nc_a --n abc", "argument --n: invalid int value: 'abc'"),
+    ("verify --suite nope", "argument --suite: invalid choice: 'nope'"),
+    ("count --family nc_a --n 3 --type -1,4", "argument --type: expected one argument"),
+    ("count --n 3", "the following arguments are required: --family"),
+])
+def test_usage_error_exits_1_with_one_error_line(capsys, args, message):
+    with pytest.raises(SystemExit, match="^1$"):
+        main(args.split())
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", ["xi", "rho", "phi_nc_b", "nc_to_nn_b"])
 def test_map_negative_n_exits_without_traceback(name):
     proc = subprocess.run([sys.executable, "-m", "coxcat.cli", "map", "--name", name, "--input", "-"],

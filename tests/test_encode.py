@@ -147,6 +147,11 @@ def test_f_map_fig10():
     assert f_map_inverse(t) == m
 
 
+def test_f_map_inverse_rejects_a_column_joining_two_blocks():
+    with pytest.raises(ValidationError, match="^a column joins two blocks$"):
+        f_map_inverse(ShiftedTableau.make([1, 2], [3], [(1, 3), (2, 3)]), check=False)
+
+
 def test_f_map_unmarked_reduces_to_plain_tableau():
     m = MarkedPair.make(sp([[1, 3], [2]]), [])
     t = f_map(m)

@@ -1,7 +1,7 @@
 import pytest
 
 from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions
-from coxcat.models import MarkedPair, enumerate_family
+from coxcat.models import MarkedPair, marked_pairs, marked_triples
 from coxcat.signed import SignedPartition, signed_type, zero_block_size
 from coxcat.typemaps import (
     NcDecomposition,
@@ -128,31 +128,34 @@ def test_rearrange_and_iota():
         rearrange(m, (1, 2))
 
 
-def test_iota_d_epsilon_zero_matches_iota_b():
-    for n in range(1, 6):
-        from coxcat.models import marked_triples
+# Oracles: iota's permutations written out by family, parity and sign
+def _iota_perm_b(k: int) -> tuple[int, ...]:
+    if k % 2 == 0:
+        return tuple(range(1, k + 1))
+    t = k // 2
+    return (t + 1,) + tuple(range(1, t + 1)) + tuple(range(t + 2, k + 1))
 
+
+def _iota_perm_d(k: int, epsilon: int) -> tuple[int, ...]:
+    if k % 2 == 1:
+        return _iota_perm_b(k)
+    if epsilon == 0:
+        return tuple(range(1, k + 1))
+    t = k // 2
+    return (t, t + 1) + tuple(range(1, t)) + tuple(range(t + 2, k + 1))
+
+
+def test_iota_permutes_by_the_hand_written_rule():
+    for n in range(1, 8):
+        for m in marked_pairs(n, "nc_nn"):
+            perm = _iota_perm_b(len(m.marked))
+            assert iota_b(m, check=False) == rearrange(m, perm)
+            assert rearrange(iota_b_inverse(m, check=False), perm) == m
         for t in marked_triples(n, "nc_nn_pm"):
-            out = iota_d(t, check=False)
-            assert out.epsilon == t.epsilon
-            assert iota_d_inverse(out, check=False) == t
-            if t.epsilon == 0:
-                assert out.pair == iota_b(t.pair, check=False)
-
-
-@pytest.mark.parametrize("family,src,dst", [("B", "nc_b", "nn_b"), ("C", "nc_b", "nn_c"), ("D", "nc_d", "nn_d")])
-def test_composed_maps_small(family, src, dst):
-    for n in range(2, 5):
-        target = set(enumerate_family(dst, n))
-        images = set()
-        for p in enumerate_family(src, n):
-            q = nc_to_nn(family, p)
-            assert q in target
-            assert signed_type(q) == signed_type(p)
-            assert zero_block_size(q) == zero_block_size(p)
-            assert nn_to_nc(family, q) == p
-            images.add(q)
-        assert images == target
+            perm = _iota_perm_d(len(t.marked), t.epsilon)
+            out, back = iota_d(t, check=False), iota_d_inverse(t, check=False)
+            assert (out.pair, out.epsilon) == (rearrange(t.pair, perm), t.epsilon)
+            assert (rearrange(back.pair, perm), back.epsilon) == (t.pair, t.epsilon)
 
 
 def test_composed_map_type_oracle_fig4():
