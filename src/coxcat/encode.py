@@ -66,27 +66,23 @@ def _check_xslot(sigma: SetPartition, x: XSlot, allow_int: bool) -> None:
         raise ValidationError(f"bad x slot {x!r}")
 
 
-def _merge_first_last(m: MarkedPair) -> tuple[SetPartition, tuple[Block, Block] | None]:
-    """Unite each pair of marks that the type-B inverse pairs; a held mark stays whole.
+def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
+    """Union marked blocks first-with-last; remember the middle as an edge or block.
 
-    Also returns the innermost pair: (A, A) for the middle mark of an odd
-    count, the two middle marks of an even count, None without marks.
+    The pairs are those of the type-B inverse, so a held mark stays whole and
+    the innermost pair is (A, A) for the middle of an odd count, or the two
+    middle marks of an even count.
     """
+    if check and not validate_marked(m, "nc_nn"):
+        raise ValidationError("not a marked noncrossing pair with nonnested marks")
     marked = set(m.marked)
     pairs = _pairs("nc_b", m)
     blocks = [b for b in m.sigma.blocks if b not in marked]
     blocks += [tuple(sorted(set(a1 + a2))) for a1, a2 in pairs]
-    return SetPartition.from_blocks(blocks, m.sigma.n), (pairs[-1] if pairs else None)
-
-
-def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
-    """Union marked blocks first-with-last; remember the middle as an edge or block."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
-    sigma, inner = _merge_first_last(m)
-    if inner is None:
+    sigma = SetPartition.from_blocks(blocks, m.sigma.n)
+    if not pairs:
         return BPair(sigma, None)
-    a1, a2 = inner
+    a1, a2 = pairs[-1]
     return BPair(sigma, ("block", a1) if a1 == a2 else ("edge", (a1[-1], a2[0])))
 
 
@@ -139,36 +135,30 @@ def psi_b_inverse(bp: BPair, check: bool = True) -> SignedPartition:
 
 
 def varphi_d(t: MarkedTriple, check: bool = True) -> DPair:
-    """Like the B encoding, but a nonzero sign goes to a signed integer slot."""
+    """The B encoding of the pair; a nonzero sign e turns its slot into the
+    integer e * max for a block, or e * a for an edge (a, b)."""
     if check and not validate_marked(t, "nc_nn_pm"):
         raise ValidationError("not a marked noncrossing triple with nonnested marks")
+    bp = varphi_b(t.pair, check=False)
     if t.epsilon == 0:
-        bp = varphi_b(t.pair, check=False)
         return DPair(bp.sigma, bp.x)
-    sigma, (mid, _) = _merge_first_last(t.pair)
-    return DPair(sigma, ("int", t.epsilon * mid[-1]))
+    kind, val = bp.x
+    return DPair(bp.sigma, ("int", t.epsilon * (val[-1] if kind == "block" else val[0])))
 
 
 def varphi_d_inverse(dp: DPair, check: bool = True) -> MarkedTriple:
+    """An integer slot +-j stands for j's block when j is its maximum, else
+    for the edge from j to its successor; decode that B slot, then sign it."""
     sigma = dp.sigma
     if check and not is_member(sigma, "nc_a"):
         raise ValidationError("the partition must be noncrossing")
-    if dp.x is None or dp.x[0] in ("edge", "block"):
-        m = varphi_b_inverse(BPair(sigma, dp.x), check=False)
-        return MarkedTriple(m.sigma, m.marked, 0)
-    val = dp.x[1]
-    j = abs(val)
-    blk = sigma.block_containing(j)
-    cut = {(i, l) for i, l in edges(sigma) if i < blk[0] and blk[-1] < l}
-    if blk[-1] == j:
-        seeds = [blk]
-    else:
-        lo_piece = tuple(v for v in blk if v <= j)
-        hi_piece = tuple(v for v in blk if v > j)
-        seeds = [lo_piece, hi_piece]
-        cut.add((lo_piece[-1], hi_piece[0]))
-    m = _unmerge(sigma, cut, seeds)
-    return MarkedTriple(m.sigma, m.marked, 1 if val > 0 else -1)
+    x, eps = dp.x, 0
+    if x is not None and x[0] == "int":
+        j, eps = abs(x[1]), (1 if x[1] > 0 else -1)
+        blk = sigma.block_containing(j)
+        x = ("block", blk) if blk[-1] == j else ("edge", (j, blk[blk.index(j) + 1]))
+    m = varphi_b_inverse(BPair(sigma, x), check=False)
+    return MarkedTriple(m.sigma, m.marked, eps)
 
 
 def psi_d(p: SignedPartition, check: bool = True) -> DPair:

@@ -9,9 +9,9 @@ first of the marks sorted by maximum.
 
 The forward map keeps the positive parts of the blocks and marks those that
 lost negative elements; for D it also drops n and records the sign of the
-block absorbing n.  The inverse holds one mark when their number k is odd,
-or 2 - k mod 2 marks, which absorb n, under a nonzero sign, and pairs the
-rest first-with-last.
+block absorbing n, or 0 when that block is {n} or the zero block.  The
+inverse holds one mark when their number k is odd, or 2 - k mod 2 marks,
+which absorb n, under a nonzero sign, and pairs the rest first-with-last.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .models import (
     MarkedPair,
     MarkedTriple,
     _class_parts,
-    d_reduce,
     is_member,
     member_triple,
     validate_marked,
@@ -82,12 +81,8 @@ def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | Marke
     if spec.marked not in MARKED_TRIPLE_CLASSES:
         return MarkedPair.make(*_positive_parts(p, n + 1))
     bn = p.block_containing(n)
-    if bn == (n,) or p.zero_block() is not None:
-        reduced = d_reduce(p)
-        if reduced is None:
-            raise ValidationError("the top-element merge is not a signed partition")
-        return MarkedTriple.make(*_positive_parts(reduced, n), 0)
-    return MarkedTriple.make(*_positive_parts(p, n), _epsilon_of_top_block(bn, n))
+    eps = 0 if bn == (n,) or p.zero_block() is not None else _epsilon_of_top_block(bn, n)
+    return MarkedTriple.make(*_positive_parts(p, n), eps)
 
 
 def held_marks(family: str, m: MarkedPair | MarkedTriple) -> slice:

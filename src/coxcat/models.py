@@ -89,25 +89,6 @@ def _with_zero_element(p: SignedPartition) -> list[Block]:
     return out
 
 
-def d_reduce(p: SignedPartition) -> SignedPartition | None:
-    """Merge the blocks containing n and -n and drop both elements.
-
-    Returns None when the merge does not leave a valid signed partition
-    (for example when it would create a second zero block).
-    """
-    n = p.n
-    bn = p.block_containing(n)
-    bm = p.block_containing(-n)
-    merged = tuple(sorted((set(bn) | set(bm)) - {n, -n}))
-    rest = [b for b in p.blocks if b != bn and b != bm]
-    if merged:
-        rest.append(merged)
-    try:
-        return SignedPartition.from_blocks(rest, n - 1)
-    except ValidationError:
-        return None
-
-
 def is_member(p, family: str) -> bool:
     """Exact membership in one of the eight families."""
     if family in UNSIGNED_FAMILIES:
@@ -135,14 +116,15 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     """The marked triple of p when p is a member of the type-D family, else None.
 
     Membership is decided as lying in the image of the marked-triple
-    bijection: the forward reading must give a valid triple and its inverse
-    must reproduce the input.  That triple is the forward image, so a checked
-    forward map reads it from here instead of computing it again.
+    bijection: a zero block must properly contain {n, -n}, the forward
+    reading must give a valid triple and its inverse must reproduce the
+    input.  That triple is the forward image, so a checked forward map reads
+    it from here instead of computing it again.
 
-    The zero-block condition plus the top-element reduction do not
-    characterize the D families: splitting the merged zero block back can
-    wrap around the center the wrong way, and in the nonnesting case the
-    reduction also excludes genuine members.
+    Merging the blocks of n and -n and testing the rest as a type-B partition
+    does not characterize the D families: splitting the merged zero block
+    back can wrap around the center the wrong way, and in the nonnesting
+    case the merge also excludes genuine members.
     """
     # interpret builds its maps on this module, so it is imported at call time
     from . import interpret
@@ -199,10 +181,10 @@ class MarkedPair:
 
     @classmethod
     def make(cls, sigma: SetPartition, marked: Iterable[Iterable[int]]) -> "MarkedPair":
-        ms = tuple(sorted((tuple(sorted(b)) for b in marked), key=lambda b: b[-1]))
+        ms = [tuple(sorted(b)) for b in marked]
         if len(set(ms)) != len(ms) or not set(ms) <= set(sigma.blocks):
             raise ValidationError("marked blocks must be distinct blocks of the partition")
-        return cls(sigma, ms)
+        return cls(sigma, tuple(sorted(ms, key=lambda b: b[-1])))
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,7 @@ def iota_d_inverse(t: MarkedTriple, check: bool = True) -> MarkedTriple:
 
 # type letter -> (noncrossing family, nonnesting family).  A chain runs phi, iota where the
 # two families hold their marks in different places, xi_bar, rho_bar and the nonnesting inverse.
+# The phi maps are looked up on interpret at each call, so a rebinding of them is seen.
 CHAINS = {"B": ("nc_b", "nn_b"), "C": ("nc_b", "nn_c"), "D": ("nc_d", "nn_d")}
 
 
@@ -359,17 +360,17 @@ def _chain(family: str) -> tuple[str, str, bool]:
 def nc_to_nn(family: str, p: SignedPartition) -> SignedPartition:
     """Type-preserving bijection from the noncrossing to the nonnesting family."""
     nc, nn, moves = _chain(family)
-    m = interpret._forward(nc, p, check=True)
+    m = getattr(interpret, f"phi_{nc}")(p, check=True)
     if moves:
         m = _iota(nc, m, check=False)
     m = _on_pair(lambda pair: rho_bar(xi_bar(pair, check=False), check=False), m)
-    return interpret._inverse(nn, m, check=False)
+    return getattr(interpret, f"phi_{nn}_inverse")(m, check=False)
 
 
 def nn_to_nc(family: str, p: SignedPartition) -> SignedPartition:
     nc, nn, moves = _chain(family)
-    m = interpret._forward(nn, p, check=True)
+    m = getattr(interpret, f"phi_{nn}")(p, check=True)
     m = _on_pair(lambda pair: xi_bar_inverse(rho_bar_inverse(pair, check=False), check=False), m)
     if moves:
         m = _iota(nc, m, check=False, inverse=True)
-    return interpret._inverse(nc, m, check=False)
+    return getattr(interpret, f"phi_{nc}_inverse")(m, check=False)

@@ -163,6 +163,17 @@ def test_map_negative_n_exits_without_traceback(name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: n must be >= 0\n")
 
 
+@pytest.mark.parametrize("name,epsilon", [("xi_bar", None), ("phi_nc_b_inverse", None), ("phi_nc_d_inverse", 1)])
+def test_map_empty_marked_block_exits_without_traceback(name, epsilon):
+    obj = {"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}
+    if epsilon is not None:
+        obj["epsilon"] = epsilon
+    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", "map", "--name", name, "--input", "-"],
+                          input=json.dumps(obj), capture_output=True, text=True, env=_script_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: marked blocks must be distinct blocks of the partition\n"
+
+
 def test_count_empty_type_at_n0(capsys):
     code, out, _ = run_cli(capsys, ["count", "--family", "nc_a", "--n", "0", "--type", ""])
     assert code == 0 and out.strip() == "1"
@@ -202,10 +213,10 @@ def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeyp
     import coxcat.encode
     from coxcat.core import ValidationError
 
-    def broken(m):
+    def broken(family, m):
         raise ValidationError("merge broke")
 
-    monkeypatch.setattr(coxcat.encode, "_merge_first_last", broken)
+    monkeypatch.setattr(coxcat.encode, "_pairs", broken)
     code, out, _ = run_cli(capsys, ["verify", "--max-n", "3", "--suite", "encode"])
     assert code == 2
     assert "  FAIL pair encoding of the B family is bijective with its type clause n=1: ValidationError: merge broke" in out

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coxcat.core import SetPartition, ValidationError
+from coxcat.core import SetPartition, ValidationError, edges
 from coxcat.encode import (
     BPair,
     DPair,
@@ -28,8 +28,12 @@ from coxcat.encode import (
     tableau_validate,
     varphi_b,
     varphi_b_inverse,
+    varphi_d,
+    varphi_d_inverse,
+    _unmerge,
 )
-from coxcat.models import MarkedPair, MarkedTriple
+from coxcat.interpret import _pairs
+from coxcat.models import MarkedPair, MarkedTriple, marked_members
 from coxcat.signed import SignedPartition
 
 sp = SetPartition.from_blocks
@@ -81,6 +85,46 @@ def test_psi_d_fig5_slot():
     assert dp.sigma == sp([[1, 2, 8], [3, 5, 6, 7], [4], [9]])
     assert dp.x == ("int", -5)
     assert psi_d_inverse(dp) == fig5
+
+
+def _varphi_d_oracle(t):
+    """The D encoding with its own merge: unite the marks that the type-B
+    inverse pairs, then name the innermost pair by a block, an edge or, under
+    a nonzero sign, the signed maximum of its first block."""
+    pairs = _pairs("nc_b", t.pair)
+    blocks = [b for b in t.sigma.blocks if b not in t.marked] + [tuple(sorted(set(a + b))) for a, b in pairs]
+    sigma = sp(blocks, t.sigma.n)
+    if not pairs:
+        return DPair(sigma, None)
+    a1, a2 = pairs[-1]
+    if t.epsilon:
+        return DPair(sigma, ("int", t.epsilon * a1[-1]))
+    return DPair(sigma, ("block", a1) if a1 == a2 else ("edge", (a1[-1], a2[0])))
+
+
+def _varphi_d_inverse_oracle(dp):
+    """The D decoding with its own cut for an integer slot +-j: the edges
+    around j's block, and inside it after j unless j is its maximum."""
+    if dp.x is None or dp.x[0] != "int":
+        m = varphi_b_inverse(BPair(dp.sigma, dp.x))
+        return MarkedTriple(m.sigma, m.marked, 0)
+    j = abs(dp.x[1])
+    blk = dp.sigma.block_containing(j)
+    cut = {(i, l) for i, l in edges(dp.sigma) if i < blk[0] and blk[-1] < l}
+    seeds = [blk]
+    if blk[-1] != j:
+        seeds = [tuple(v for v in blk if v <= j), tuple(v for v in blk if v > j)]
+        cut.add((seeds[0][-1], seeds[1][0]))
+    m = _unmerge(dp.sigma, cut, seeds)
+    return MarkedTriple(m.sigma, m.marked, 1 if dp.x[1] > 0 else -1)
+
+
+def test_varphi_d_matches_its_oracles():
+    for n in range(1, 8):
+        for t in marked_members("nc_nn_pm", n):
+            assert varphi_d(t) == _varphi_d_oracle(t)
+        for dp in d_pairs(n):
+            assert varphi_d_inverse(dp) == _varphi_d_inverse_oracle(dp)
 
 
 def test_d_pair_counts():

@@ -96,6 +96,12 @@ def test_marked_pair_construction_checks_blocks():
         MarkedPair.make(FIG2, [(1, 2)])
     with pytest.raises(ValidationError):
         MarkedTriple.make(FIG2, (), 5)
+    # an empty mark is rejected before the marks are sorted by maximum
+    message = "^marked blocks must be distinct blocks of the partition$"
+    with pytest.raises(ValidationError, match=message):
+        MarkedPair.make(FIG2, [()])
+    with pytest.raises(ValidationError, match=message):
+        MarkedTriple.make(FIG2, [()], 1)
 
 
 def test_marked_class_sizes():
