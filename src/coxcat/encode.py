@@ -19,12 +19,13 @@ from .core import (
     InternalInvariantError,
     SetPartition,
     ValidationError,
+    _check_n,
     edges,
     noncrossing_partitions,
     nonnested_blocks,
 )
 from .interpret import _pairs, phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
-from .models import MarkedPair, MarkedTriple, is_member, validate_marked
+from .models import MarkedPair, MarkedTriple, _check_rank, marked_pairs, require, validate_marked
 from .signed import SignedPartition
 
 # x slot of a pair encoding: None, ("edge", (i, j)), ("block", blk) or ("int", k)
@@ -73,8 +74,7 @@ def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
     the innermost pair is (A, A) for the middle of an odd count, or the two
     middle marks of an even count.
     """
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
+    require(m, "nc_nn", check)
     marked = set(m.marked)
     pairs = _pairs("nc_b", m)
     blocks = [b for b in m.sigma.blocks if b not in marked]
@@ -112,8 +112,7 @@ def _unmerge(sigma: SetPartition, spanning: set[Edge], seeds: Iterable[Block]) -
 
 def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
     sigma = bp.sigma
-    if check and not is_member(sigma, "nc_a"):
-        raise ValidationError("the partition must be noncrossing")
+    require(sigma, "nc_a", check)
     if bp.x is None:
         return MarkedPair.make(sigma, ())
     kind, val = bp.x
@@ -137,8 +136,7 @@ def psi_b_inverse(bp: BPair, check: bool = True) -> SignedPartition:
 def varphi_d(t: MarkedTriple, check: bool = True) -> DPair:
     """The B encoding of the pair; a nonzero sign e turns its slot into the
     integer e * max for a block, or e * a for an edge (a, b)."""
-    if check and not validate_marked(t, "nc_nn_pm"):
-        raise ValidationError("not a marked noncrossing triple with nonnested marks")
+    require(t, "nc_nn_pm", check)
     bp = varphi_b(t.pair, check=False)
     if t.epsilon == 0:
         return DPair(bp.sigma, bp.x)
@@ -150,8 +148,7 @@ def varphi_d_inverse(dp: DPair, check: bool = True) -> MarkedTriple:
     """An integer slot +-j stands for j's block when j is its maximum, else
     for the edge from j to its successor; decode that B slot, then sign it."""
     sigma = dp.sigma
-    if check and not is_member(sigma, "nc_a"):
-        raise ValidationError("the partition must be noncrossing")
+    require(sigma, "nc_a", check)
     x, eps = dp.x, 0
     if x is not None and x[0] == "int":
         j, eps = abs(x[1]), (1 if x[1] > 0 else -1)
@@ -180,7 +177,9 @@ def b_pairs(n: int) -> Iterator[BPair]:
 
 
 def d_pairs(n: int) -> Iterator[DPair]:
-    """All pairs over noncrossing partitions of [n-1], including integer slots."""
+    """All pairs over noncrossing partitions of [n-1], including integer slots:
+    the image of the type-D noncrossing family of rank n."""
+    _check_rank(n, "nc_d")
     for sigma in noncrossing_partitions(n - 1):
         yield DPair(sigma, None)
         for e in edges(sigma):
@@ -197,14 +196,19 @@ def d_pairs(n: int) -> Iterator[DPair]:
 
 
 def is_restricted_pair(m: MarkedPair) -> bool:
-    """A marked block containing the top element must have at least two elements."""
+    """Over [n] with n >= 1, a marked block containing n must have at least two elements."""
     n = m.sigma.n
-    return validate_marked(m, "nc_nn") and (n,) not in m.marked
+    return n >= 1 and validate_marked(m, "nc_nn") and (n,) not in m.marked
+
+
+def restricted_pairs(n: int) -> Iterator[MarkedPair]:
+    """The restricted pairs over [n]: the image under kappa of the triples of rank n."""
+    _check_rank(n, "nc_nn_pm")
+    return (m for m in marked_pairs(n, "nc_nn") if is_restricted_pair(m))
 
 
 def kappa(t: MarkedTriple, check: bool = True) -> MarkedPair:
-    if check and not validate_marked(t, "nc_nn_pm"):
-        raise ValidationError("not a marked noncrossing triple with nonnested marks")
+    require(t, "nc_nn_pm", check)
     n = t.sigma.n + 1
     if t.epsilon == 0:
         sigma = SetPartition(n, tuple(sorted(t.sigma.blocks + ((n,),))))
@@ -276,6 +280,7 @@ def in_lp_bar(path: LatticePath) -> bool:
 
 
 def lattice_paths(n: int) -> Iterator[LatticePath]:
+    _check_n(n)
     for positions in itertools.combinations(range(2 * n), n):
         word = ["E"] * (2 * n)
         for i in positions:
@@ -286,8 +291,7 @@ def lattice_paths(n: int) -> Iterator[LatticePath]:
 def nc_to_dyck(p: SetPartition, check: bool = True) -> LatticePath:
     """Two steps per element: NN at a non-singleton minimum, EE at a maximum,
     NE at a singleton, EN in the middle of a block."""
-    if check and not is_member(p, "nc_a"):
-        raise ValidationError("not a noncrossing partition")
+    require(p, "nc_a", check)
     steps = []
     for i in range(1, p.n + 1):
         b = p.block_containing(i)
@@ -331,8 +335,7 @@ def dyck_to_nc(path: LatticePath) -> SetPartition:
 
 def g_map(m: MarkedPair, check: bool = True) -> LatticePath:
     """Reflect the subpath spanned by each marked block across the diagonal."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
+    require(m, "nc_nn", check)
     steps = list(nc_to_dyck(m.sigma, check=False).steps)
     flip = {"N": "E", "E": "N"}
     for b in m.marked:
@@ -426,8 +429,7 @@ class ShiftedTableau:
 
 def f_map(m: MarkedPair, check: bool = True) -> ShiftedTableau:
     """South steps at minima of unmarked blocks; marked blocks fill added rows."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
+    require(m, "nc_nn", check)
     n = m.sigma.n
     marked = set(m.marked)
     south = [b[0] for b in m.sigma.blocks if b not in marked]
@@ -508,6 +510,7 @@ def tableau_validate(t: ShiftedTableau, kind: str) -> bool:
 
 def catalan_tableaux(n: int, kind: str = "CT_B") -> Iterator[ShiftedTableau]:
     """All valid Catalan tableaux of border length n, by direct search."""
+    _check_n(n)
     for r in range(n + 1):
         for south in itertools.combinations(range(1, n + 1), r):
             east = tuple(sorted(set(range(1, n + 1)) - set(south)))

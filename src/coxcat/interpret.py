@@ -16,27 +16,11 @@ which absorb n, under a nonzero sign, and pairs the rest first-with-last.
 
 from __future__ import annotations
 
-from .core import Block, SetPartition, ValidationError
+from .core import Block, SetPartition
 from .models import (
-    MARKED_TRIPLE_CLASSES,
-    SIGNED_FAMILIES,
-    MarkedPair,
-    MarkedTriple,
-    _class_parts,
-    is_member,
-    member_triple,
-    validate_marked,
+    MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple, domain_error, member_triple, require,
 )
 from .signed import SignedPartition, _from_pairs
-
-
-def pairing(blocks) -> tuple[int, ...]:
-    """Sizes |A_1 u A_2k|, |A_2 u A_2k-1|, ... for an even list sorted by maximum."""
-    bs = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[-1])
-    if len(bs) % 2:
-        raise ValidationError("pairing needs an even number of blocks")
-    k = len(bs) // 2
-    return tuple(sorted((len(bs[i]) + len(bs[-1 - i]) for i in range(k)), reverse=True))
 
 
 def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, list[Block]]:
@@ -63,20 +47,15 @@ def _epsilon_of_top_block(bn: Block, n: int) -> int:
     return -1
 
 
-def _not_member(family: str) -> ValidationError:
-    return ValidationError(f"not a type-{family[-1].upper()} non{SIGNED_FAMILIES[family].pattern} partition")
-
-
 def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | MarkedTriple:
     spec = SIGNED_FAMILIES[family]
     if check and spec.order == "bijection":
         # the type-D membership test computes the forward image on the way
         triple = member_triple(p, family)
         if triple is None:
-            raise _not_member(family)
+            raise domain_error(family)
         return triple
-    if check and not is_member(p, family):
-        raise _not_member(family)
+    require(p, family, check)
     n = p.n
     if spec.marked not in MARKED_TRIPLE_CLASSES:
         return MarkedPair.make(*_positive_parts(p, n + 1))
@@ -115,11 +94,7 @@ def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block
 
 
 def _inverse(family: str, m: MarkedPair | MarkedTriple, check: bool) -> SignedPartition:
-    spec = SIGNED_FAMILIES[family]
-    if check and not validate_marked(m, spec.marked):
-        _, kind, is_triple = _class_parts(spec.marked)
-        shape = "triple" if is_triple else "pair"
-        raise ValidationError(f"not a marked non{spec.pattern} {shape} with {kind} marks")
+    require(m, SIGNED_FAMILIES[family].marked, check)
     n = m.sigma.n + 1 if isinstance(m, MarkedTriple) else m.sigma.n
     return _from_pairs(m.sigma, m.marked, _pairs(family, m), n)
 

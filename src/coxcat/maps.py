@@ -20,7 +20,6 @@ from .models import (
     SIGNED_FAMILIES,
     enumerate_family,
     marked_members,
-    marked_pairs,
     validate_marked,
 )
 from .signed import signed_type, zero_block_size
@@ -72,7 +71,7 @@ DOMAINS = {
     **{cls: ("marked_pair", lambda n, cls=cls: marked_members(cls, n)) for cls in MARKED_CLASSES},
     **{cls: ("marked_triple", lambda n, cls=cls: marked_members(cls, n)) for cls in MARKED_TRIPLE_CLASSES},
     **{fam: ("signed_partition", lambda n, fam=fam: enumerate_family(fam, n)) for fam in SIGNED_FAMILIES},
-    "restricted": ("marked_pair", lambda n: (m for m in marked_pairs(n, "nc_nn") if encode.is_restricted_pair(m))),
+    "restricted": ("marked_pair", encode.restricted_pairs),
     "b_pairs": ("b_pair", encode.b_pairs),
     "d_pairs": ("d_pair", encode.d_pairs),
     "dyck": ("path", lambda n: (q for q in encode.lattice_paths(n) if encode.is_dyck(q))),

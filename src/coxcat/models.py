@@ -5,6 +5,9 @@ memberships read the family's row of SIGNED_FAMILIES: the standard
 representation must avoid the pattern in the family's total order, and the D
 families are decided through their marked-triple bijection.  Signed families
 are enumerated through their inverse bijection; filtering is the oracle.
+
+Every checked map guards its input with require(x, domain, check), for a
+family or a marked class, so each domain has one decision and one error text.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .core import (
     noncrossing_wrt,
     nonnesting_partitions,
     nonnesting_wrt,
-    nonaligned_blocks,
-    nonnested_blocks,
+    special_blocks,
     type_of,
 )
 from .signed import SignedPartition, count_signed, enumerate_signed, signed_type
@@ -36,6 +38,15 @@ UNSIGNED_FAMILIES = ("nc_a", "nn_a")
 
 MARKED_CLASSES = ("nc_nn", "nc_na", "nn_na")
 MARKED_TRIPLE_CLASSES = ("nc_nn_pm", "nc_na_pm", "nn_na_pm")
+
+
+# The domains of least rank 1: the type-D families and the marked triples that
+# encode them.  Every other domain has one empty object at n = 0.
+_RANK_ONE = frozenset(("nc_d", "nn_d", *MARKED_TRIPLE_CLASSES))
+
+
+def _check_rank(n: int, domain: str) -> None:
+    _check_n(n, 1 if domain in _RANK_ONE else 0)
 
 
 def order_nc_b(n: int) -> tuple[int, ...]:
@@ -94,9 +105,7 @@ def is_member(p, family: str) -> bool:
     if family in UNSIGNED_FAMILIES:
         if not isinstance(p, SetPartition):
             raise ValidationError(f"family {family} needs an unsigned partition")
-        if family == "nc_a":
-            return noncrossing_wrt(p, tuple(range(1, p.n + 1)))
-        return nonnesting_wrt(p, tuple(range(1, p.n + 1)))
+        return (noncrossing_wrt if family == "nc_a" else nonnesting_wrt)(p, tuple(range(1, p.n + 1)))
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
     if not isinstance(p, SignedPartition):
@@ -151,7 +160,7 @@ def enumerate_family(family: str, n: int):
     A signed family is built as the image of its marked class under the
     inverse bijection of its SIGNED_FAMILIES row.
     """
-    _check_n(n, _LEAST_N.get(family, 0))
+    _check_rank(n, family)
     if family == "nc_a":
         items = list(noncrossing_partitions(n))
     elif family == "nn_a":
@@ -219,14 +228,28 @@ def validate_marked(m, cls_name: str) -> bool:
     family, kind, is_triple = _class_parts(cls_name)
     if is_triple != isinstance(m, MarkedTriple):
         return False
-    if is_triple and m.epsilon not in (-1, 0, 1):
+    if is_triple and (m.epsilon not in (-1, 0, 1) or not m.marked and m.epsilon != 0):
         return False
-    if is_triple and not m.marked and m.epsilon != 0:
-        return False
-    if not is_member(m.sigma, family):
-        return False
-    special = nonnested_blocks(m.sigma) if kind == "nonnested" else nonaligned_blocks(m.sigma)
-    return set(m.marked) <= set(special)
+    return is_member(m.sigma, family) and set(m.marked) <= set(special_blocks(m.sigma, kind))
+
+
+def domain_error(domain: str) -> ValidationError:
+    """The one error for an input outside a family or a marked class, e.g.
+    "not a type-B nonnesting partition" or "not a marked noncrossing pair with
+    nonnested marks"."""
+    pattern = "noncrossing" if domain.startswith("nc") else "nonnesting"
+    if domain in SIGNED_FAMILIES:
+        return ValidationError(f"not a type-{domain[-1].upper()} {pattern} partition")
+    if domain in UNSIGNED_FAMILIES:
+        return ValidationError(f"not a {pattern} partition")
+    _, kind, is_triple = _class_parts(domain)
+    return ValidationError(f"not a marked {pattern} {'triple' if is_triple else 'pair'} with {kind} marks")
+
+
+def require(x, domain: str, check: bool = True) -> None:
+    """With check set, raise domain_error(domain) unless x lies in the family or marked class."""
+    if check and not (is_member(x, domain) if domain in FAMILIES else validate_marked(x, domain)):
+        raise domain_error(domain)
 
 
 def marked_pairs(n: int, cls_name: str) -> Iterator[MarkedPair]:
@@ -236,7 +259,7 @@ def marked_pairs(n: int, cls_name: str) -> Iterator[MarkedPair]:
         raise ValidationError("use marked_triples for a triple class")
     source = noncrossing_partitions(n) if family == "nc_a" else nonnesting_partitions(n)
     for sigma in source:
-        special = nonnested_blocks(sigma) if kind == "nonnested" else nonaligned_blocks(sigma)
+        special = special_blocks(sigma, kind)
         for r in range(len(special) + 1):
             for marked in itertools.combinations(special, r):
                 yield MarkedPair(sigma, marked)
@@ -255,6 +278,7 @@ def marked_triples(n: int, cls_name: str) -> Iterator[MarkedTriple]:
 def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]:
     """The members of a marked class at rank n.  A marked triple over [n - 1]
     has rank n, like the type-D partitions it encodes."""
+    _check_rank(n, cls_name)
     if cls_name in MARKED_TRIPLE_CLASSES:
         return marked_triples(n - 1, cls_name)
     return marked_pairs(n, cls_name)
@@ -275,13 +299,9 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-# The least n of each family's domain; elsewhere n = 0 gives the one empty object.
-_LEAST_N = {"nc_d": 1, "nn_d": 1}
-
-
 def count_family(family: str, n: int) -> int:
     """Closed-form cardinality of a family."""
-    _check_n(n, _LEAST_N.get(family, 0))
+    _check_rank(n, family)
     if family in ("nc_a", "nn_a"):
         return catalan(n)
     if family == "pi_b":
@@ -320,7 +340,7 @@ def _type_family(family: str) -> str:
 
 def count_by_type(family: str, n: int, lam: Iterable[int]) -> int:
     """Number of noncrossing partitions of the family with block-size type lam."""
-    _check_n(n, _LEAST_N.get(_type_family(family), 0))
+    _check_rank(n, _type_family(family))
     lam = _normalize_type(lam)
     total, ell = sum(lam), len(lam)
     m = _m_lambda(lam)

@@ -93,15 +93,6 @@ class SignedPartition:
 EMPTY_SIGNED = SignedPartition(0, ())
 
 
-def validate_signed(blocks: Iterable[Iterable[int]], n: int | None = None) -> SignedPartition:
-    """Canonicalize raw blocks, rejecting anything that is not a signed partition."""
-    return SignedPartition.from_blocks(blocks, n)
-
-
-def positive_part(b: Iterable[int]) -> Block:
-    return tuple(sorted(x for x in b if x > 0))
-
-
 def signed_type(p: SignedPartition) -> tuple[int, ...]:
     """Sizes of the unordered nonzero mirror pairs, weakly decreasing."""
     sizes = []
@@ -135,7 +126,7 @@ def decompose_triple(p: SignedPartition) -> TripleDecomposition:
     pairs: set[tuple[Block, Block]] = set()
     unmatched: Block | None = None
     for b in p.blocks:
-        pos = positive_part(b)
+        pos = tuple(x for x in b if x > 0)  # blocks are ascending, so this is too
         if not pos:
             continue
         alpha_blocks.append(pos)
@@ -239,8 +230,7 @@ def involutions(n: int) -> int:
 
 def count_signed(n: int) -> int:
     """Number of signed partitions of [+-n], computed exactly; 1 at n = 0."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_n(n)
     if n == 0:
         return 1  # the empty signed partition
     return sum(stirling2(n, k) * involutions(k + 1) for k in range(1, n + 1))

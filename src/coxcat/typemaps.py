@@ -23,9 +23,11 @@ from .core import (
     nonnested_blocks,
     nonnesting_partitions,
     slice_partition,
+    special_blocks,
 )
 from . import interpret
-from .models import MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple, is_member, validate_marked
+# is_member is not called here; perfbench/selftest.py checks that its tracer rebinds this import.
+from .models import SIGNED_FAMILIES, MarkedPair, MarkedTriple, is_member, require  # noqa: F401
 from .signed import SignedPartition
 
 
@@ -75,15 +77,13 @@ def _build_from_profile(profile, nonnesting: bool) -> SetPartition:
 
 def rho(p: SetPartition, check: bool = True) -> SetPartition:
     """The unique nonnesting partition with the same block maxima and sizes."""
-    if check and not is_member(p, "nc_a"):
-        raise ValidationError("not a noncrossing partition")
+    require(p, "nc_a", check)
     return _build_from_profile(_profile(p), nonnesting=True)
 
 
 def rho_inverse(p: SetPartition, check: bool = True) -> SetPartition:
     """The unique noncrossing partition with the same block maxima and sizes."""
-    if check and not is_member(p, "nn_a"):
-        raise ValidationError("not a nonnesting partition")
+    require(p, "nn_a", check)
     return _build_from_profile(_profile(p), nonnesting=False)
 
 
@@ -99,31 +99,22 @@ def rho_by_search(p: SetPartition) -> SetPartition:
     return idx[_profile(p)]
 
 
-def _transfer_marks(marks, src_blocks, dst_blocks) -> tuple[Block, ...]:
-    pos = {b: i for i, b in enumerate(src_blocks)}
-    return tuple(sorted((dst_blocks[pos[b]] for b in marks), key=lambda b: b[-1]))
+def _rho_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
+    """Apply rho (or its inverse); the image blocks with the maxima of the marked blocks are marked."""
+    require(m, "nn_na" if inverse else "nc_na", check)
+    image = (rho_inverse if inverse else rho)(m.sigma, check=False)
+    by_max = {b[-1]: b for b in image.blocks}
+    if by_max.keys() != {b[-1] for b in m.sigma.blocks}:
+        raise InternalInvariantError("block maxima must be preserved")
+    return MarkedPair(image, tuple(by_max[b[-1]] for b in m.marked))
 
 
 def rho_bar(m: MarkedPair, check: bool = True) -> MarkedPair:
-    """Apply rho and carry the marks across by position among max-sorted blocks."""
-    if check and not validate_marked(m, "nc_na"):
-        raise ValidationError("not a marked noncrossing pair with nonaligned marks")
-    image = rho(m.sigma, check=False)
-    src = tuple(sorted(m.sigma.blocks, key=lambda b: b[-1]))
-    dst = tuple(sorted(image.blocks, key=lambda b: b[-1]))
-    for a, b in zip(src, dst):
-        if a[-1] != b[-1]:
-            raise InternalInvariantError("block maxima must be preserved")
-    return MarkedPair(image, _transfer_marks(m.marked, src, dst))
+    return _rho_bar(m, check, inverse=False)
 
 
 def rho_bar_inverse(m: MarkedPair, check: bool = True) -> MarkedPair:
-    if check and not validate_marked(m, "nn_na"):
-        raise ValidationError("not a marked nonnesting pair with nonaligned marks")
-    image = rho_inverse(m.sigma, check=False)
-    src = tuple(sorted(m.sigma.blocks, key=lambda b: b[-1]))
-    dst = tuple(sorted(image.blocks, key=lambda b: b[-1]))
-    return MarkedPair(image, _transfer_marks(m.marked, src, dst))
+    return _rho_bar(m, check, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +196,7 @@ def decompose(p: SetPartition, variant: int) -> NcDecomposition:
 
 
 def xi(p: SetPartition, check: bool = True) -> SetPartition:
-    if check and not is_member(p, "nc_a"):
-        raise ValidationError("not a noncrossing partition")
+    require(p, "nc_a", check)
     n = p.n
     # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
     k, j = n, len(p.blocks)
@@ -255,19 +245,24 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
     return result
 
 
-def xi_bar(m: MarkedPair, check: bool = True) -> MarkedPair:
-    """xi on the partition; marks move to the same positions among nonaligned blocks."""
-    if check and not validate_marked(m, "nc_nn"):
-        raise ValidationError("not a marked noncrossing pair with nonnested marks")
+def _xi_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
+    """xi on the partition; marks move from the nonnested blocks to the same
+    positions among the nonaligned ones, or back for the inverse.  Both lists
+    of special blocks are sorted by maximum, so the marks stay sorted."""
+    require(m, "nc_na" if inverse else "nc_nn", check)
+    src, dst = ("nonaligned", "nonnested") if inverse else ("nonnested", "nonaligned")
     image = xi(m.sigma, check=False)
-    return MarkedPair(image, _transfer_marks(m.marked, nonnested_blocks(m.sigma), nonaligned_blocks(image)))
+    position = {b: i for i, b in enumerate(special_blocks(m.sigma, src))}
+    moved = special_blocks(image, dst)
+    return MarkedPair(image, tuple(moved[position[b]] for b in m.marked))
+
+
+def xi_bar(m: MarkedPair, check: bool = True) -> MarkedPair:
+    return _xi_bar(m, check, inverse=False)
 
 
 def xi_bar_inverse(m: MarkedPair, check: bool = True) -> MarkedPair:
-    if check and not validate_marked(m, "nc_na"):
-        raise ValidationError("not a marked noncrossing pair with nonaligned marks")
-    image = xi(m.sigma, check=False)
-    return MarkedPair(image, _transfer_marks(m.marked, nonaligned_blocks(m.sigma), nonnested_blocks(image)))
+    return _xi_bar(m, check, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +305,7 @@ def _on_pair(f, m: MarkedPair | MarkedTriple) -> MarkedPair | MarkedTriple:
 
 def _iota(family: str, m: MarkedPair | MarkedTriple, check: bool, inverse: bool = False) -> MarkedPair | MarkedTriple:
     """Move the marked components that family's inverse holds to the front, the rest keeping their order."""
-    cls = SIGNED_FAMILIES[family].marked
-    if check and not validate_marked(m, cls):
-        shape = "triple" if cls in MARKED_TRIPLE_CLASSES else "pair"
-        raise ValidationError(f"not a marked noncrossing {shape} with nonnested marks")
+    require(m, SIGNED_FAMILIES[family].marked, check)
     held = interpret.held_marks(family, m)
     s, h = held.start, held.stop - held.start
     # components a+1..a+w go first, then 1..a: the held ones, or for the inverse the s they overtook

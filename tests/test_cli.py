@@ -163,6 +163,12 @@ def test_map_negative_n_exits_without_traceback(name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: n must be >= 0\n")
 
 
+def test_kappa_inverse_rejects_the_rank_0_pair(capsys, monkeypatch):
+    stdin = '{"sigma": {"n": 0, "blocks": []}, "marked": []}'
+    code, out, err = run_cli(capsys, ["map", "--name", "kappa_inverse", "--input", "-"], stdin, monkeypatch)
+    assert (code, out, err) == (1, "", "error: not a restricted marked noncrossing pair\n")
+
+
 @pytest.mark.parametrize("name,epsilon", [("xi_bar", None), ("phi_nc_b_inverse", None), ("phi_nc_d_inverse", 1)])
 def test_map_empty_marked_block_exits_without_traceback(name, epsilon):
     obj = {"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}

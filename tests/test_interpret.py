@@ -4,7 +4,6 @@ import pytest
 
 from coxcat.core import SetPartition, ValidationError
 from coxcat.interpret import (
-    pairing,
     phi_nc_b,
     phi_nc_b_inverse,
     phi_nc_d,
@@ -33,14 +32,6 @@ FIG5 = sgn([[1, 2, -8], [-1, -2, 8], [-3, -5, 6, 7, 10], [3, 5, -6, -7, -10], [4
 FIG6 = sgn([[1, 3, 7, -7, -3, -1], [2, 4], [-2, -4], [5, 9, -10, -6], [-5, -9, 10, 6], [8], [-8]])
 FIG7 = sgn([[1, 3, 7, -10, -6], [-1, -3, -7, 10, 6], [2, 4], [-2, -4], [5, 9, -9, -5], [8], [-8]])
 FIG8 = sgn([[1, 4, 7, -3, -6, 10], [-1, -4, -7, 3, 6, -10], [2], [-2], [5, 9, -8], [-5, -9, 8]])
-
-
-def test_pairing():
-    assert pairing([(1, 4, 5), (10,)]) == (4,)
-    assert pairing([]) == ()
-    assert pairing([(1,), (2,), (3,), (4,)]) == (2, 2)
-    with pytest.raises(ValidationError):
-        pairing([(1,)])
 
 
 def test_phi_nc_b_fig4():

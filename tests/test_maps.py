@@ -11,6 +11,10 @@ from conftest import SAMPLED, large_member
 from hypothesis import given, settings, strategies as st
 
 from coxcat import maps
+from coxcat.core import ValidationError
+
+# The domains with no member at rank 0; every other domain has one empty object there.
+RANK_ONE = ("nc_d", "nn_d", "nc_nn_pm", "nc_na_pm", "nn_na_pm", "d_pairs", "restricted")
 
 
 @pytest.mark.parametrize("row", maps.PAIRS, ids=lambda row: row.name)
@@ -26,3 +30,17 @@ def test_large_round_trip(row, data):
         x = row.inverse(y, check=True)
         assert row.forward(x, check=True) == y
         assert row.keeps(x, y)
+
+
+@pytest.mark.parametrize("domain", maps.DOMAINS)
+def test_domain_rank_contract(domain):
+    """Below its least rank a domain is an error; at it the domain is nonempty
+    and every pair through it meets a target as large as its source."""
+    least = 1 if domain in RANK_ONE else 0
+    members = maps.DOMAINS[domain][1]
+    with pytest.raises(ValidationError, match=f"^n must be >= {least}$"):
+        list(members(least - 1))
+    assert list(members(least))
+    for row in maps.PAIRS:
+        if domain in (row.source, row.target):
+            assert len(list(maps.DOMAINS[row.source][1](least))) == len(list(maps.DOMAINS[row.target][1](least)))

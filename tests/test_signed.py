@@ -13,7 +13,6 @@ from coxcat.signed import (
     maximal_matchings,
     signed_type,
     stirling2,
-    validate_signed,
     zero_block_size,
 )
 
@@ -22,7 +21,7 @@ EXAMPLE = [[1, -3, 6], [-1, 3, -6], [2, 4, -2, -4], [5, 8], [-5, -8], [7], [-7]]
 
 
 def test_validate_example():
-    p = validate_signed(EXAMPLE)
+    p = SignedPartition.from_blocks(EXAMPLE)
     assert p.zero_block() == (-4, -2, 2, 4)
     assert p.n == 8
     assert p.blocks[0] == (-3, 1, 6)  # positive representative listed first
@@ -39,7 +38,7 @@ def test_validate_example():
 )
 def test_validate_rejects(blocks):
     with pytest.raises(ValidationError):
-        validate_signed(blocks)
+        SignedPartition.from_blocks(blocks)
 
 
 @pytest.mark.parametrize("blocks, n", [([], -2), ([], -1), ([[1], [-1]], -1)])
@@ -49,12 +48,12 @@ def test_validate_rejects_negative_n(blocks, n):
 
 
 def test_validate_accepts_plain_mirror():
-    p = validate_signed([[1, 2], [-1, -2], [3, -3]])
+    p = SignedPartition.from_blocks([[1, 2], [-1, -2], [3, -3]])
     assert p.zero_block() == (-3, 3)
 
 
 def test_decompose_example():
-    d = decompose_triple(validate_signed(EXAMPLE))
+    d = decompose_triple(SignedPartition.from_blocks(EXAMPLE))
     assert d.alpha == sp([[1, 6], [2, 4], [3], [5, 8], [7]])
     assert d.beta == ((3,), (2, 4), (1, 6))
     assert d.gamma == (((3,), (1, 6)),)
@@ -62,16 +61,16 @@ def test_decompose_example():
 
 
 def test_decompose_no_mixed_blocks():
-    d = decompose_triple(validate_signed([[1], [-1], [2], [-2]]))
+    d = decompose_triple(SignedPartition.from_blocks([[1], [-1], [2], [-2]]))
     assert d.alpha == sp([[1], [2]])
     assert d.beta == () and d.gamma == () and d.gamma0 == ()
 
 
 def test_compose_examples():
-    d = decompose_triple(validate_signed(EXAMPLE))
-    assert compose_triple(d.alpha, d.beta, d.gamma) == validate_signed(EXAMPLE)
-    assert compose_triple(sp([[1], [2]]), (), ()) == validate_signed([[1], [-1], [2], [-2]])
-    assert compose_triple(sp([[1]]), ((1,),), ()) == validate_signed([[1, -1]])
+    d = decompose_triple(SignedPartition.from_blocks(EXAMPLE))
+    assert compose_triple(d.alpha, d.beta, d.gamma) == SignedPartition.from_blocks(EXAMPLE)
+    assert compose_triple(sp([[1], [2]]), (), ()) == SignedPartition.from_blocks([[1], [-1], [2], [-2]])
+    assert compose_triple(sp([[1]]), ((1,),), ()) == SignedPartition.from_blocks([[1, -1]])
 
 
 def test_compose_validates():
@@ -114,7 +113,7 @@ def test_enumeration_matches_count_and_is_duplicate_free():
 
 def test_enumerate_n1():
     got = set(enumerate_signed(1))
-    assert got == {validate_signed([[1], [-1]]), validate_signed([[1, -1]])}
+    assert got == {SignedPartition.from_blocks([[1], [-1]]), SignedPartition.from_blocks([[1, -1]])}
 
 
 def test_roundtrip_exhaustive():
@@ -126,7 +125,7 @@ def test_roundtrip_exhaustive():
 
 
 def test_signed_type():
-    p = validate_signed(EXAMPLE)
+    p = SignedPartition.from_blocks(EXAMPLE)
     assert signed_type(p) == (3, 2, 1)
     assert zero_block_size(p) == 4
     for n in range(1, 5):

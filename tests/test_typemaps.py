@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions
-from coxcat.models import MarkedPair, marked_pairs, marked_triples
+from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
 from coxcat.signed import SignedPartition, signed_type, zero_block_size
 from coxcat.typemaps import (
     NcDecomposition,
@@ -17,6 +19,7 @@ from coxcat.typemaps import (
     rho,
     rho_bar,
     rho_bar_inverse,
+    rho_inverse,
     star,
     uplus,
     xi,
@@ -189,3 +192,31 @@ def test_composed_maps_reject_partitions_outside_the_source(name, family, p, mes
     fn = {"nc_to_nn": nc_to_nn, "nn_to_nc": nn_to_nc}[name]
     with pytest.raises(ValidationError, match=f"^{message}$"):
         fn(family, p)
+
+
+CROSSING = sp([[1, 3], [2, 4]])
+NESTING = sp([[1, 4], [2, 3]])
+NESTED_MARK = MarkedPair.make(NESTING, [(2, 3)])  # nonaligned, but nested
+ALIGNED_MARK = MarkedPair.make(sp([[1, 2], [3, 4]]), [(1, 2)])  # nonnested, but aligned
+NESTED_TRIPLE = MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1)
+
+
+GUARDS = [
+    (rho, CROSSING, "not a noncrossing partition"),
+    (rho_inverse, NESTING, "not a nonnesting partition"),
+    (xi, CROSSING, "not a noncrossing partition"),
+    (rho_bar, ALIGNED_MARK, "not a marked noncrossing pair with nonaligned marks"),
+    (rho_bar_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
+    (xi_bar, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
+    (xi_bar_inverse, ALIGNED_MARK, "not a marked noncrossing pair with nonaligned marks"),
+    (iota_b, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
+    (iota_b_inverse, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
+    (iota_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
+    (iota_d_inverse, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
+]
+
+
+@pytest.mark.parametrize("fn,arg,message", GUARDS, ids=[fn.__name__ for fn, _, _ in GUARDS])
+def test_domain_guard_text(fn, arg, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fn(arg, check=True)
