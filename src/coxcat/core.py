@@ -132,10 +132,8 @@ def nonnested_blocks(p: SetPartition) -> tuple[Block, ...]:
     for b in p.blocks:
         for i, j in zip(b, b[1:]):
             right_end[i] = j
-    reach = [0] * (p.n + 1)  # reach[x] = max right end of an edge (i, j) with i < x
-    for x in range(1, p.n):
-        reach[x + 1] = max(reach[x], right_end[x])
-    out = [b for b in p.blocks if reach[b[0]] <= b[-1]]
+    reach = list(itertools.accumulate(right_end, max))  # reach[x - 1] = max right end of an edge (i, j) with i < x
+    out = [b for b in p.blocks if reach[b[0] - 1] <= b[-1]]
     return tuple(sorted(out, key=lambda b: b[-1]))
 
 
@@ -271,8 +269,7 @@ def slice_partition(p: SetPartition, lo: int, hi: int) -> SetPartition:
     minimum; when one does, the blocks are sorted.  In a noncrossing
     partition none does when lo = 1, or when lo - 1 or lo shares a block with
     hi or a larger element, since an arc of that block would cross it: the
-    slices taken by typemaps.decompose and typemaps.rearrange are all of this
-    kind.
+    slices taken by typemaps.decompose are all of this kind.
     """
     if lo > hi:
         return EMPTY

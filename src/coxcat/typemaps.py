@@ -2,10 +2,15 @@
 
 rho rebuilds the unique nonnesting partition with the same block maxima and
 sizes.  xi is an involution exchanging nonnested and nonaligned blocks,
-assembled from the prefix / connected / tail decompositions.  iota reorders
+defined through the prefix / connected / tail decompositions.  iota reorders
 the components spanned by nonnested blocks.  Composing these with the
 signed-partition interpretations gives type-preserving bijections between
 noncrossing and nonnesting partitions of types B, C and D.
+
+xi and rearrange (which iota runs) build their image in one pass over an
+ownership array, owner[x] being the index of the block holding x: the labels
+go out in image order and the blocks are read off by first appearance.  The
+route through the decompositions stays as the reference, xi_by_decomposition.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .core import (
     InternalInvariantError,
     SetPartition,
     ValidationError,
+    _read_off,
     nonaligned_blocks,
     nonnested_blocks,
     nonnesting_partitions,
@@ -97,6 +103,56 @@ def rho_by_search(p: SetPartition) -> SetPartition:
         idx = {_profile(q): q for q in nonnesting_partitions(p.n)}
         _rho_index[p.n] = idx
     return idx[_profile(p)]
+
+
+def xi_by_decomposition(p: SetPartition) -> SetPartition:
+    """Reference route: xi assembled from the prefix / connected / tail decompositions."""
+    n = p.n
+    # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
+    k, j = n, len(p.blocks)
+    while k >= 1 and p.blocks[j - 1] == (k,):
+        k, j = k - 1, j - 1
+    if k == 0:
+        return p
+    core = SetPartition(k, p.blocks[:j])
+
+    firsts: list[tuple[SetPartition, SetPartition]] = []  # (connected_i, tail_i)
+    cur = core
+    while cur.n:
+        d = decompose(cur, 1)
+        firsts.append((d.connected_part, d.tail))
+        cur = d.prefix
+
+    seconds: list[tuple[SetPartition, SetPartition]] = []  # (connected_i, prefix_i)
+    cur = core
+    while cur.n:
+        d = decompose(cur, 2)
+        seconds.append((d.connected_part, d.prefix))
+        cur = d.tail
+
+    if firsts[0][0] != seconds[0][0]:
+        raise InternalInvariantError("the two decompositions must share their first connected part")
+    r, s = len(firsts), len(seconds)
+    if r != len(nonnested_blocks(core)) or s != len(nonaligned_blocks(core)):
+        raise InternalInvariantError("decomposition depth must match the special block counts")
+
+    rest = EMPTY
+    for i in range(r - 1, 0, -1):
+        conn, tail = firsts[i]
+        rest = uplus(tail, star(conn, rest))
+    nested = star(firsts[0][0], rest)
+
+    out = EMPTY
+    for i in range(s - 1, 0, -1):
+        conn, prefix = seconds[i]
+        out = uplus(out, star(conn, prefix))
+    out = uplus(out, nested)
+
+    # out partitions [k], so the trailing singletons follow its blocks
+    result = SetPartition(n, out.blocks + p.blocks[j:])
+    if Counter(map(len, result.blocks)) != Counter(map(len, p.blocks)):
+        raise InternalInvariantError("block type must be preserved")
+    return result
 
 
 def _rho_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
@@ -195,7 +251,35 @@ def decompose(p: SetPartition, variant: int) -> NcDecomposition:
 # xi: the involution exchanging nonnested and nonaligned blocks
 
 
+def _owners(p: SetPartition) -> list[int]:
+    """owner[x] is the index in p.blocks of the block holding x (owner[0] is unused)."""
+    owner = [0] * (p.n + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    return owner
+
+
+def _read_image(labels: list[int], count: int) -> tuple[Block, ...]:
+    """The canonical blocks of the partition of [len(labels)] that puts x in block labels[x - 1]."""
+    return _read_off([-1, *labels], count, range(1, len(labels) + 1), labels)
+
+
 def xi(p: SetPartition, check: bool = True) -> SetPartition:
+    """The involution exchanging nonnested and nonaligned blocks, built in one pass.
+
+    Unrolling the two decompositions of xi_by_decomposition gives the order
+    in which the block labels owner[x] of the core (p without its trailing
+    singletons) appear in the image.  Let T be the block of the core's top
+    element k.  First come the pieces of the region under T's last arc,
+    deepest first.  Each piece is read off the region's largest element b
+    and its block A: [b] when A is a singleton, and the region loses b;
+    otherwise A without b, then the region's part left of A, then b, and the
+    region shrinks to the part under A's last arc.  Then comes T without k.
+    Then, walking left from min(T) over the nonnested blocks N, the part
+    under N's last arc followed by N without its maximum.  Last come one new
+    maximum per N, innermost first, and k.
+    """
     require(p, "nc_a", check)
     n = p.n
     # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
@@ -205,41 +289,37 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
     if k == 0:
         return p
     core = SetPartition(k, p.blocks[:j])
+    blocks, owner = core.blocks, _owners(core)
+    top = blocks[owner[k]]
 
-    firsts: list[tuple[SetPartition, SetPartition]] = []  # (connected_i, tail_i)
-    cur = core
-    while cur.n:
-        d = decompose(cur, 1)
-        firsts.append((d.connected_part, d.tail))
-        cur = d.prefix
+    pieces: list[list[int]] = []
+    lo, b = top[-2] + 1, k - 1
+    while b >= lo:
+        blk = blocks[owner[b]]
+        if len(blk) == 1:
+            pieces.append([owner[b]])
+        else:
+            pieces.append(owner[blk[0]:blk[-2] + 1] + owner[lo:blk[0]] + [owner[b]])
+            lo = blk[-2] + 1
+        b -= 1
+    labels = [x for piece in reversed(pieces) for x in piece]
+    labels += owner[top[0]:top[-2] + 1]
 
-    seconds: list[tuple[SetPartition, SetPartition]] = []  # (connected_i, prefix_i)
-    cur = core
-    while cur.n:
-        d = decompose(cur, 2)
-        seconds.append((d.connected_part, d.prefix))
-        cur = d.tail
+    maxima = [owner[k]]
+    b = top[0] - 1
+    while b >= 1:
+        blk = blocks[owner[b]]
+        if len(blk) > 1:
+            labels += owner[blk[-2] + 1:b]
+            labels += owner[blk[0]:blk[-2] + 1]
+        maxima.append(owner[b])
+        b = blk[0] - 1
+    labels += reversed(maxima)
 
-    if firsts[0][0] != seconds[0][0]:
-        raise InternalInvariantError("the two decompositions must share their first connected part")
-    r, s = len(firsts), len(seconds)
-    if r != len(nonnested_blocks(core)) or s != len(nonaligned_blocks(core)):
+    if len(maxima) != len(nonnested_blocks(core)) or len(pieces) + 1 != len(nonaligned_blocks(core)):
         raise InternalInvariantError("decomposition depth must match the special block counts")
-
-    rest = EMPTY
-    for i in range(r - 1, 0, -1):
-        conn, tail = firsts[i]
-        rest = uplus(tail, star(conn, rest))
-    nested = star(firsts[0][0], rest)
-
-    out = EMPTY
-    for i in range(s - 1, 0, -1):
-        conn, prefix = seconds[i]
-        out = uplus(out, star(conn, prefix))
-    out = uplus(out, nested)
-
-    # out partitions [k], so the trailing singletons follow its blocks
-    result = SetPartition(n, out.blocks + p.blocks[j:])
+    # the image partitions [k], so the trailing singletons follow its blocks
+    result = SetPartition(n, _read_image(labels, j) + p.blocks[j:])
     if Counter(map(len, result.blocks)) != Counter(map(len, p.blocks)):
         raise InternalInvariantError("block type must be preserved")
     return result
@@ -269,30 +349,38 @@ def xi_bar_inverse(m: MarkedPair, check: bool = True) -> MarkedPair:
 # Rearranging the components spanned by nonnested blocks
 
 
-def rearrange(m: MarkedPair, perm: tuple[int, ...]) -> MarkedPair:
-    """Permute the marked components by perm (1-based), fixing unmarked ones."""
+def rearrange(m: MarkedPair, perm: tuple[int, ...], check: bool = True) -> MarkedPair:
+    """Permute the marked components by perm (1-based), fixing unmarked ones.
+
+    The image's block labels are the owner ranges of the components in their
+    new order; its marks are the images of the marked components' outer blocks.
+    """
+    require(m, "nc_nn", check)
     sigma = m.sigma
     spans = nonnested_blocks(sigma)
     lo = 1
-    components = []
     for b in spans:
         if b[0] != lo:
             raise InternalInvariantError("nonnested block spans must tile the ground set")
-        components.append(slice_partition(sigma, b[0], b[-1]))
         lo = b[-1] + 1
     if lo != sigma.n + 1:
         raise InternalInvariantError("nonnested block spans must tile the ground set")
-    marked_idx = [i for i, b in enumerate(spans) if b in set(m.marked)]
+    marked = set(m.marked)
+    marked_idx = [i for i, b in enumerate(spans) if b in marked]
     if sorted(perm) != list(range(1, len(marked_idx) + 1)):
         raise ValidationError("perm must be a permutation of the marked components")
-    order = list(range(len(components)))
+    order = list(range(len(spans)))
     for t, i in enumerate(marked_idx):
         order[i] = marked_idx[perm[t] - 1]
-    out = EMPTY
+    owner = _owners(sigma)
+    labels: list[int] = []
+    ends = []  # ends[i]: the image's element closing the component at position i
     for i in order:
-        out = uplus(out, components[i])
-    new_spans = nonnested_blocks(out)
-    return MarkedPair(out, tuple(new_spans[i] for i in marked_idx))
+        labels += owner[spans[i][0]:spans[i][-1] + 1]
+        ends.append(len(labels))
+    out = SetPartition(sigma.n, _read_image(labels, len(sigma.blocks)))
+    by_max = {b[-1]: b for b in out.blocks}
+    return MarkedPair(out, tuple(by_max[ends[i]] for i in marked_idx))
 
 
 def _on_pair(f, m: MarkedPair | MarkedTriple) -> MarkedPair | MarkedTriple:
@@ -311,7 +399,7 @@ def _iota(family: str, m: MarkedPair | MarkedTriple, check: bool, inverse: bool 
     # components a+1..a+w go first, then 1..a: the held ones, or for the inverse the s they overtook
     a, w = (h, s) if inverse else (s, h)
     perm = (*range(a + 1, a + w + 1), *range(1, a + 1), *range(a + w + 1, len(m.marked) + 1))
-    return _on_pair(lambda pair: rearrange(pair, perm), m)
+    return _on_pair(lambda pair: rearrange(pair, perm, check=False), m)
 
 
 def iota_b(m: MarkedPair, check: bool = True) -> MarkedPair:

@@ -307,7 +307,8 @@ def _zero_block_marks(n):
 def _xi_involution(n):
     def swaps(p, q):
         nn_p, na_p = len(nonnested_blocks(p)), len(nonaligned_blocks(p))
-        return len(nonnested_blocks(q)) == na_p and len(nonaligned_blocks(q)) == nn_p
+        swapped = len(nonnested_blocks(q)) == na_p and len(nonaligned_blocks(q)) == nn_p
+        return swapped and q == typemaps.xi_by_decomposition(p)
 
     return _sweep("xi", n, swaps) is not None
 

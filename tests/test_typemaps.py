@@ -1,8 +1,12 @@
+import itertools
+import random
 import re
 
 import pytest
 
-from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions
+from conftest import random_member, random_noncrossing
+from coxcat import typemaps
+from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks, slice_partition
 from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
 from coxcat.signed import SignedPartition, signed_type, zero_block_size
 from coxcat.typemaps import (
@@ -25,6 +29,7 @@ from coxcat.typemaps import (
     xi,
     xi_bar,
     xi_bar_inverse,
+    xi_by_decomposition,
 )
 
 sp = SetPartition.from_blocks
@@ -109,6 +114,21 @@ def test_xi_worked_example_n27():
     assert xi(lower) == upper
 
 
+def test_xi_agrees_with_the_decomposition_route_on_every_small_partition():
+    for n in range(11):
+        for p in noncrossing_partitions(n):
+            assert xi(p, check=False) == xi_by_decomposition(p)
+
+
+def test_xi_agrees_with_the_decomposition_route_at_large_n():
+    rng = random.Random(12)
+    for _ in range(200):
+        p = random_noncrossing(rng, rng.randint(100, 300))
+        q = xi(p)
+        assert q == xi_by_decomposition(p)
+        assert xi(q) == p
+
+
 def test_xi_bar_example():
     m = MarkedPair.make(sp([[1, 3], [2], [4]]), [(1, 3), (4,)])
     out = xi_bar(m)
@@ -129,6 +149,51 @@ def test_rearrange_and_iota():
     assert iota_b(even) == even
     with pytest.raises(ValidationError):
         rearrange(m, (1, 2))
+
+
+def _rearrange_by_slices(m: MarkedPair, perm: tuple[int, ...]) -> MarkedPair:
+    """Oracle: slice out every component and concatenate them in the new order."""
+    spans = nonnested_blocks(m.sigma)
+    marked_idx = [i for i, b in enumerate(spans) if b in m.marked]
+    order = list(range(len(spans)))
+    for t, i in enumerate(marked_idx):
+        order[i] = marked_idx[perm[t] - 1]
+    out = EMPTY
+    for i in order:
+        out = uplus(out, slice_partition(m.sigma, spans[i][0], spans[i][-1]))
+    new_spans = nonnested_blocks(out)
+    return MarkedPair(out, tuple(new_spans[i] for i in marked_idx))
+
+
+def test_rearrange_agrees_with_slicing_on_every_small_pair_and_perm():
+    for n in range(8):
+        for m in marked_pairs(n, "nc_nn"):
+            for perm in itertools.permutations(range(1, len(m.marked) + 1)):
+                assert rearrange(m, perm) == _rearrange_by_slices(m, perm)
+
+
+def test_rearrange_agrees_with_slicing_at_large_n():
+    rng = random.Random(12)
+    for _ in range(200):
+        m = random_member(rng, "nc_nn", rng.randint(1, 120))
+        perm = list(range(1, len(m.marked) + 1))
+        rng.shuffle(perm)
+        assert rearrange(m, tuple(perm)) == _rearrange_by_slices(m, tuple(perm))
+
+
+def test_one_pass_maps_build_no_intermediate_partition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an intermediate partition was built")
+
+    for name in ("decompose", "slice_partition", "uplus", "star"):
+        monkeypatch.setattr(typemaps, name, refuse)
+    p = sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8], [11, 13], [12], [14]])
+    assert xi(xi(p)) == p
+    pair = MarkedPair.make(p, nonnested_blocks(p))
+    assert rearrange(rearrange(pair, (3, 1, 2)), (2, 3, 1)) == pair
+    assert iota_b_inverse(iota_b(pair)) == pair
+    triple = MarkedTriple(pair.sigma, pair.marked, 1)
+    assert iota_d_inverse(iota_d(triple)) == triple
 
 
 # Oracles: iota's permutations written out by family, parity and sign
@@ -201,6 +266,11 @@ ALIGNED_MARK = MarkedPair.make(sp([[1, 2], [3, 4]]), [(1, 2)])  # nonnested, but
 NESTED_TRIPLE = MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1)
 
 
+def rearrange_fixed(m, check):
+    """rearrange with the empty permutation, the one its bad inputs below were accepted with."""
+    return rearrange(m, (), check=check)
+
+
 GUARDS = [
     (rho, CROSSING, "not a noncrossing partition"),
     (rho_inverse, NESTING, "not a nonnesting partition"),
@@ -213,6 +283,8 @@ GUARDS = [
     (iota_b_inverse, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
     (iota_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
     (iota_d_inverse, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
+    (rearrange_fixed, MarkedPair.make(sp([[1, 3], [2]]), [(2,)]), "not a marked noncrossing pair with nonnested marks"),
+    (rearrange_fixed, MarkedPair.make(CROSSING, []), "not a marked noncrossing pair with nonnested marks"),
 ]
 
 
