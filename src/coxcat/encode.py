@@ -9,20 +9,19 @@ blocks below the diagonal) and as 0/1-fillings of shifted Ferrers diagrams.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     Block,
-    Edge,
     InternalInvariantError,
     SetPartition,
     ValidationError,
     _check_n,
     edges,
     noncrossing_partitions,
-    nonnested_blocks,
 )
 from .interpret import _pairs, phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
 from .models import MarkedPair, MarkedTriple, _check_rank, marked_pairs, require, validate_marked
@@ -38,7 +37,7 @@ class BPair:
     x: XSlot
 
     def __post_init__(self):
-        _check_xslot(self.sigma, self.x, allow_int=False)
+        _check_slot(self.sigma, self.x, signed=False)
 
 
 @dataclass(frozen=True)
@@ -47,24 +46,27 @@ class DPair:
     x: XSlot
 
     def __post_init__(self):
-        _check_xslot(self.sigma, self.x, allow_int=True)
+        _check_slot(self.sigma, self.x, signed=True)
 
 
-def _check_xslot(sigma: SetPartition, x: XSlot, allow_int: bool) -> None:
-    if x is None:
-        return
-    kind, val = x
-    if kind == "edge":
-        if tuple(val) not in edges(sigma):
-            raise ValidationError(f"{val} is not an edge of the partition")
-    elif kind == "block":
-        if tuple(val) not in sigma.blocks:
-            raise ValidationError(f"{val} is not a block of the partition")
-    elif kind == "int" and allow_int:
-        if not (1 <= abs(val) <= sigma.n):
-            raise ValidationError(f"integer slot {val} out of range")
-    else:
-        raise ValidationError(f"bad x slot {x!r}")
+def slots(sigma: SetPartition, signed: bool = False) -> list[XSlot]:
+    """The slots of sigma in their fixed order: nothing, each edge, each block
+    and, when signed, the integers 1, -1, 2, -2, ..., n.
+
+    There are n + 1 unsigned slots (n - k edges and k blocks), and 3n + 1
+    signed ones: over [n - 1] that is the 3n - 2 slots of a rank-n D pair.
+    """
+    out: list[XSlot] = [None]
+    out += [("edge", e) for e in edges(sigma)]
+    out += [("block", b) for b in sigma.blocks]
+    if signed:
+        out += [("int", e * v) for v in range(1, sigma.n + 1) for e in (1, -1)]
+    return out
+
+
+def _check_slot(sigma: SetPartition, x: XSlot, signed: bool) -> None:
+    if x not in slots(sigma, signed):
+        raise ValidationError(f"{x!r} is not a slot of the partition")
 
 
 def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
@@ -86,43 +88,28 @@ def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
     return BPair(sigma, ("block", a1) if a1 == a2 else ("edge", (a1[-1], a2[0])))
 
 
-def _cut_edges(sigma: SetPartition, cut: set[Edge]) -> SetPartition:
-    blocks = []
-    for b in sigma.blocks:
-        run = [b[0]]
-        for u, v in zip(b, b[1:]):
-            if (u, v) in cut:
-                blocks.append(tuple(run))
-                run = [v]
-            else:
-                run.append(v)
-        blocks.append(tuple(run))
-    return SetPartition.from_blocks(blocks, sigma.n)
-
-
-def _unmerge(sigma: SetPartition, spanning: set[Edge], seeds: Iterable[Block]) -> MarkedPair:
-    cut_sigma = _cut_edges(sigma, spanning)
-    endpoints = {e for pair in spanning for e in pair}
-    marked = set(seeds)
-    for b in cut_sigma.blocks:
-        if endpoints & set(b):
-            marked.add(b)
-    return MarkedPair.make(cut_sigma, marked)
-
-
 def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
+    """Cut each edge (u, v) with u <= s and t <= v, and mark the two pieces.
+
+    (s, t) is the edge slot, or (min - 1, max + 1) around a block slot, which
+    is marked too.  Edges of one block are disjoint intervals, so at most one
+    of them spans (s, t): bisecting the block at s finds it.
+    """
     sigma = bp.sigma
     require(sigma, "nc_a", check)
     if bp.x is None:
         return MarkedPair.make(sigma, ())
     kind, val = bp.x
-    if kind == "edge":
-        a, b = val
-        spanning = {(i, j) for i, j in edges(sigma) if i <= a < b <= j}
-        return _unmerge(sigma, spanning, ())
-    lo, hi = val[0], val[-1]
-    spanning = {(i, j) for i, j in edges(sigma) if i < lo and hi < j}
-    return _unmerge(sigma, spanning, (tuple(val),))
+    s, t = val if kind == "edge" else (val[0] - 1, val[-1] + 1)
+    kept, cut = [], []
+    for b in sigma.blocks:
+        k = bisect_right(b, s)
+        if 0 < k < len(b) and b[k] >= t:
+            cut += (b[:k], b[k:])
+        else:
+            kept.append(b)
+    marked = cut + [val] if kind == "block" else cut
+    return MarkedPair.make(SetPartition(sigma.n, tuple(sorted(kept + cut))), marked)
 
 
 def psi_b(p: SignedPartition, check: bool = True) -> BPair:
@@ -167,13 +154,10 @@ def psi_d_inverse(dp: DPair, check: bool = True) -> SignedPartition:
 
 
 def b_pairs(n: int) -> Iterator[BPair]:
-    """All (noncrossing partition, x) pairs with x nothing, an edge or a block."""
+    """All (noncrossing partition, x) pairs, each sigma's slots in the order of slots."""
     for sigma in noncrossing_partitions(n):
-        yield BPair(sigma, None)
-        for e in edges(sigma):
-            yield BPair(sigma, ("edge", e))
-        for b in sigma.blocks:
-            yield BPair(sigma, ("block", b))
+        for x in slots(sigma):
+            yield BPair(sigma, x)
 
 
 def d_pairs(n: int) -> Iterator[DPair]:
@@ -181,14 +165,8 @@ def d_pairs(n: int) -> Iterator[DPair]:
     the image of the type-D noncrossing family of rank n."""
     _check_rank(n, "nc_d")
     for sigma in noncrossing_partitions(n - 1):
-        yield DPair(sigma, None)
-        for e in edges(sigma):
-            yield DPair(sigma, ("edge", e))
-        for b in sigma.blocks:
-            yield DPair(sigma, ("block", b))
-        for v in range(1, n):
-            yield DPair(sigma, ("int", v))
-            yield DPair(sigma, ("int", -v))
+        for x in slots(sigma, signed=True):
+            yield DPair(sigma, x)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +270,13 @@ def nc_to_dyck(p: SetPartition, check: bool = True) -> LatticePath:
     """Two steps per element: NN at a non-singleton minimum, EE at a maximum,
     NE at a singleton, EN in the middle of a block."""
     require(p, "nc_a", check)
-    steps = []
-    for i in range(1, p.n + 1):
-        b = p.block_containing(i)
+    steps = ["EN"] * (p.n + 1)
+    for b in p.blocks:
         if len(b) == 1:
-            steps.append("NE")
-        elif i == b[0]:
-            steps.append("NN")
-        elif i == b[-1]:
-            steps.append("EE")
+            steps[b[0]] = "NE"
         else:
-            steps.append("EN")
-    return LatticePath("".join(steps))
+            steps[b[0]], steps[b[-1]] = "NN", "EE"
+    return LatticePath("".join(steps[1:]))
 
 
 def dyck_to_nc(path: LatticePath) -> SetPartition:

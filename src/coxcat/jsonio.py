@@ -9,7 +9,7 @@ from .signed import SignedPartition
 
 
 def set_partition_to_obj(p: SetPartition) -> dict:
-    return {"n": p.n, "blocks": [list(b) for b in p.blocks]}
+    return _partition_to_obj(p)
 
 
 def set_partition_from_obj(o: dict) -> SetPartition:
@@ -18,7 +18,7 @@ def set_partition_from_obj(o: dict) -> SetPartition:
 
 
 def signed_partition_to_obj(p: SignedPartition) -> dict:
-    return {"n": p.n, "blocks": [list(b) for b in p.blocks]}
+    return _partition_to_obj(p)
 
 
 def signed_partition_from_obj(o: dict) -> SignedPartition:
@@ -83,45 +83,49 @@ def tableau_from_obj(o: dict) -> ShiftedTableau:
     return ShiftedTableau.make(_ints(o["south"], "south"), _ints(o["east"], "east"), [tuple(rc) for rc in ones])
 
 
-def _xslot_to_obj(x):
-    if x is None:
-        return None
-    kind, val = x
-    if kind == "edge":
-        return {"edge": list(val)}
-    if kind == "block":
-        return {"block": list(val)}
-    return {"int": val}
-
-
-def _xslot_from_obj(o):
-    if o is None:
-        return None
-    if isinstance(o, dict) and "edge" in o:
-        return ("edge", tuple(_ints(o["edge"], "edge")))
-    if isinstance(o, dict) and "block" in o:
-        return ("block", tuple(sorted(_ints(o["block"], "block"))))
-    if isinstance(o, dict) and "int" in o and _is_int(o["int"]):
-        return ("int", o["int"])
-    raise ValidationError(f"bad x slot {o!r}")
-
-
 def b_pair_to_obj(bp: BPair) -> dict:
-    return {"sigma": set_partition_to_obj(bp.sigma), "x": _xslot_to_obj(bp.x)}
+    return _pair_to_obj(bp)
 
 
 def b_pair_from_obj(o: dict) -> BPair:
-    _need(o, "sigma", "x")
-    return BPair(set_partition_from_obj(o["sigma"]), _xslot_from_obj(o["x"]))
+    return _pair_from_obj(o, BPair)
 
 
 def d_pair_to_obj(dp: DPair) -> dict:
-    return {"sigma": set_partition_to_obj(dp.sigma), "x": _xslot_to_obj(dp.x)}
+    return _pair_to_obj(dp)
 
 
 def d_pair_from_obj(o: dict) -> DPair:
+    return _pair_from_obj(o, DPair)
+
+
+# Shared bodies of the public readers and writers.  They stay private and are
+# not aliased, so a tracer that counts calls by name sees each kind apart.
+
+
+def _partition_to_obj(p: SetPartition | SignedPartition) -> dict:
+    return {"n": p.n, "blocks": [list(b) for b in p.blocks]}
+
+
+def _pair_to_obj(pair: BPair | DPair) -> dict:
+    x = pair.x
+    if x is not None:
+        x = {x[0]: x[1] if x[0] == "int" else list(x[1])}
+    return {"sigma": set_partition_to_obj(pair.sigma), "x": x}
+
+
+def _pair_from_obj(o: dict, cls: type[BPair] | type[DPair]) -> BPair | DPair:
     _need(o, "sigma", "x")
-    return DPair(set_partition_from_obj(o["sigma"]), _xslot_from_obj(o["x"]))
+    sigma, x = set_partition_from_obj(o["sigma"]), o["x"]
+    if x is None:
+        return cls(sigma, None)
+    if isinstance(x, dict) and "edge" in x:
+        return cls(sigma, ("edge", tuple(_ints(x["edge"], "edge"))))
+    if isinstance(x, dict) and "block" in x:
+        return cls(sigma, ("block", tuple(sorted(_ints(x["block"], "block")))))
+    if isinstance(x, dict) and "int" in x and _is_int(x["int"]):
+        return cls(sigma, ("int", x["int"]))
+    raise ValidationError(f"bad x slot {x!r}")
 
 
 def _need(o, *keys):

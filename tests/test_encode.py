@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from coxcat.core import EMPTY, SetPartition, ValidationError, edges
+from coxcat.core import EMPTY, SetPartition, ValidationError, edges, noncrossing_partitions
 from coxcat.encode import (
     BPair,
     DPair,
@@ -26,12 +26,12 @@ from coxcat.encode import (
     psi_b_inverse,
     psi_d,
     psi_d_inverse,
+    slots,
     tableau_validate,
     varphi_b,
     varphi_b_inverse,
     varphi_d,
     varphi_d_inverse,
-    _unmerge,
 )
 from coxcat.interpret import _pairs
 from coxcat.models import MarkedPair, MarkedTriple, marked_members
@@ -60,15 +60,41 @@ def test_varphi_b_empty_marks():
 
 
 def test_bpair_validates_slot():
-    with pytest.raises(ValidationError):
-        BPair(sp([[1, 2]]), ("edge", (1, 3)))
-    with pytest.raises(ValidationError):
-        BPair(sp([[1, 2]]), ("block", (1,)))
-    with pytest.raises(ValidationError):
-        BPair(sp([[1, 2]]), ("int", 1))
+    bad = [
+        (BPair, ("edge", (1, 3))),  # not an edge
+        (BPair, ("block", (1,))),  # not a block
+        (BPair, ("int", 1)),  # an integer slot in a B pair
+        (BPair, ("edge",)),
+        (BPair, ("edge", 5)),
+        (BPair, "edge"),
+        (BPair, ("block", 3)),
+        (BPair, ("edge", [1, 2])),  # unhashable, so never a slot
+        (DPair, ("int", 3)),  # out of range
+        (DPair, ("int", 0)),
+    ]
+    for cls, x in bad:
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(x))} is not a slot of the partition$"):
+            cls(sp([[1, 2]]), x)
     DPair(sp([[1, 2]]), ("int", -2))
-    with pytest.raises(ValidationError):
-        DPair(sp([[1, 2]]), ("int", 3))
+
+
+def test_slots_order_and_counts():
+    assert slots(sp([[1, 3], [2]]), signed=True) == [
+        None,
+        ("edge", (1, 3)),
+        ("block", (1, 3)),
+        ("block", (2,)),
+        ("int", 1),
+        ("int", -1),
+        ("int", 2),
+        ("int", -2),
+        ("int", 3),
+        ("int", -3),
+    ]
+    for n in range(8):
+        for sigma in noncrossing_partitions(n):
+            assert len(slots(sigma)) == n + 1
+            assert len(slots(sigma, signed=True)) == 3 * (n + 1) - 2  # the D rank is n + 1
 
 
 def test_psi_b_examples():
@@ -86,6 +112,43 @@ def test_psi_d_fig5_slot():
     assert dp.sigma == sp([[1, 2, 8], [3, 5, 6, 7], [4], [9]])
     assert dp.x == ("int", -5)
     assert psi_d_inverse(dp) == fig5
+
+
+def _unmerge(sigma, spanning, seeds):
+    """Cut the spanning edges, then mark the seeds and every piece that holds
+    an end of a cut edge."""
+    blocks = []
+    for b in sigma.blocks:
+        run = [b[0]]
+        for u, v in zip(b, b[1:]):
+            if (u, v) in spanning:
+                blocks.append(tuple(run))
+                run = [v]
+            else:
+                run.append(v)
+        blocks.append(tuple(run))
+    cut_sigma = sp(blocks, sigma.n)
+    endpoints = {e for pair in spanning for e in pair}
+    marked = set(seeds) | {b for b in cut_sigma.blocks if endpoints & set(b)}
+    return MarkedPair.make(cut_sigma, marked)
+
+
+def _varphi_b_inverse_oracle(bp):
+    """The B decoding by its edge list: cut every edge around the slot."""
+    if bp.x is None:
+        return MarkedPair.make(bp.sigma, ())
+    kind, val = bp.x
+    if kind == "edge":
+        a, b = val
+        return _unmerge(bp.sigma, {(i, j) for i, j in edges(bp.sigma) if i <= a < b <= j}, ())
+    spanning = {(i, j) for i, j in edges(bp.sigma) if i < val[0] and val[-1] < j}
+    return _unmerge(bp.sigma, spanning, (val,))
+
+
+def test_varphi_b_inverse_matches_its_oracle():
+    for n in range(9):
+        for bp in b_pairs(n):
+            assert varphi_b_inverse(bp) == _varphi_b_inverse_oracle(bp)
 
 
 def _varphi_d_oracle(t):
