@@ -37,7 +37,7 @@ class BPair:
     x: XSlot
 
     def __post_init__(self):
-        _check_slot(self.sigma, self.x, signed=False)
+        object.__setattr__(self, "x", _slot(self.sigma, self.x, signed=False))
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class DPair:
     x: XSlot
 
     def __post_init__(self):
-        _check_slot(self.sigma, self.x, signed=True)
+        object.__setattr__(self, "x", _slot(self.sigma, self.x, signed=True))
 
 
 def slots(sigma: SetPartition, signed: bool = False) -> list[XSlot]:
@@ -64,9 +64,13 @@ def slots(sigma: SetPartition, signed: bool = False) -> list[XSlot]:
     return out
 
 
-def _check_slot(sigma: SetPartition, x: XSlot, signed: bool) -> None:
-    if x not in slots(sigma, signed):
-        raise ValidationError(f"{x!r} is not a slot of the partition")
+def _slot(sigma: SetPartition, x: XSlot, signed: bool) -> XSlot:
+    """The slot of sigma equal to x, so a value such as ("int", True) is kept in its int form."""
+    out = slots(sigma, signed)
+    try:
+        return out[out.index(x)]
+    except ValueError:
+        raise ValidationError(f"{x!r} is not a slot of the partition") from None
 
 
 def varphi_b(m: MarkedPair, check: bool = True) -> BPair:

@@ -69,23 +69,23 @@ class SignedFamily:
     """The three choices that tell the signed families apart.
 
     order names the membership order (a key of _ORDERS), or is "bijection"
-    when membership is decided through the marked-triple map; pattern is
-    "crossing" or "nesting"; marked is the marked class in bijection with the
-    family; held says whether the unpaired marks sit "middle" or "first".
+    when membership is decided through the marked-triple map; marked is the
+    marked class in bijection with the family; held says whether the unpaired
+    marks sit "middle" or "first".  The pattern a member avoids is in the
+    name: nc_* families avoid crossings, nn_* families nestings.
     """
 
     order: str
-    pattern: str
     marked: str
     held: str
 
 
 SIGNED_FAMILIES = {
-    "nc_b": SignedFamily("nc_b", "crossing", "nc_nn", "middle"),
-    "nn_b": SignedFamily("nn_b", "nesting", "nn_na", "first"),
-    "nn_c": SignedFamily("nn_c", "nesting", "nn_na", "middle"),
-    "nc_d": SignedFamily("bijection", "crossing", "nc_nn_pm", "middle"),
-    "nn_d": SignedFamily("bijection", "nesting", "nn_na_pm", "first"),
+    "nc_b": SignedFamily("nc_b", "nc_nn", "middle"),
+    "nn_b": SignedFamily("nn_b", "nn_na", "first"),
+    "nn_c": SignedFamily("nn_c", "nn_na", "middle"),
+    "nc_d": SignedFamily("bijection", "nc_nn_pm", "middle"),
+    "nn_d": SignedFamily("bijection", "nn_na_pm", "first"),
 }
 
 
@@ -118,7 +118,7 @@ def is_member(p, family: str) -> bool:
     order = _ORDERS[spec.order](p.n)
     # 0 sits between the halves of the type-B nesting order and joins the zero block
     blocks = _with_zero_element(p) if 0 in order else p
-    return (noncrossing_wrt if spec.pattern == "crossing" else nonnesting_wrt)(blocks, order)
+    return (noncrossing_wrt if family.startswith("nc") else nonnesting_wrt)(blocks, order)
 
 
 def member_triple(p, family: str) -> MarkedTriple | None:
@@ -190,8 +190,10 @@ class MarkedPair:
 
     @classmethod
     def make(cls, sigma: SetPartition, marked: Iterable[Iterable[int]]) -> "MarkedPair":
-        ms = [tuple(sorted(b)) for b in marked]
-        if len(set(ms)) != len(ms) or not set(ms) <= set(sigma.blocks):
+        # each mark is kept as sigma's own block, so its elements are ints
+        own = {b: b for b in sigma.blocks}
+        ms = [own.get(tuple(sorted(b))) for b in marked]
+        if None in ms or len(set(ms)) != len(ms):
             raise ValidationError("marked blocks must be distinct blocks of the partition")
         return cls(sigma, tuple(sorted(ms, key=lambda b: b[-1])))
 
@@ -207,7 +209,7 @@ class MarkedTriple:
         pair = MarkedPair.make(sigma, marked)
         if epsilon not in (-1, 0, 1):
             raise ValidationError("epsilon must be -1, 0 or 1")
-        return cls(pair.sigma, pair.marked, epsilon)
+        return cls(pair.sigma, pair.marked, int(epsilon))
 
     @property
     def pair(self) -> MarkedPair:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .core import SetPartition, ValidationError, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
+from .core import ValidationError, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
 
 Poly = dict[tuple[int, int], Fraction]
 

@@ -81,8 +81,9 @@ class SignedPartition:
         raise ValidationError(f"{x} is not in the ground set [+-{self.n}]")
 
     def zero_block(self) -> Block | None:
+        # a block holding m and -m meets its mirror, so it is its own mirror
         for b in self.blocks:
-            if -b[0] == b[-1] and all(-x in b for x in b):
+            if -b[0] == b[-1]:
                 return b
         return None
 
@@ -90,20 +91,13 @@ class SignedPartition:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
 
 
-EMPTY_SIGNED = SignedPartition(0, ())
-
-
 def signed_type(p: SignedPartition) -> tuple[int, ...]:
-    """Sizes of the unordered nonzero mirror pairs, weakly decreasing."""
-    sizes = []
-    seen = set()
-    for b in p.blocks:
-        neg = tuple(sorted(-x for x in b))
-        if b == neg or b in seen:
-            continue
-        seen.add(neg)
-        sizes.append(len(b))
-    return tuple(sorted(sizes, reverse=True))
+    """Sizes of the unordered nonzero mirror pairs, weakly decreasing.
+
+    A block and its mirror have one size, so every other entry of the sorted
+    nonzero sizes is the type; the zero block is the one with -min == max.
+    """
+    return tuple(sorted((len(b) for b in p.blocks if -b[0] != b[-1]), reverse=True)[::2])
 
 
 def zero_block_size(p: SignedPartition) -> int:

@@ -415,7 +415,7 @@ def _d_pair_encoding(n):
 
 @_declare("encode", "pair-set cardinalities match the closed formulas", 1, 8)
 def _pair_set_counts(n):
-    if (n + 1) * CATALAN[n] != math.comb(2 * n, n):
+    if not _count(encode.b_pairs(n)) == (n + 1) * CATALAN[n] == math.comb(2 * n, n):
         return False
     return n < 2 or _count(encode.d_pairs(n)) == (3 * n - 2) * CATALAN[n - 1]
 

@@ -109,17 +109,6 @@ def test_phi_nn_d_trivial():
     assert phi_nn_d_inverse(t) == p
 
 
-def test_epsilon_branches_never_collide():
-    for n in range(2, 6):
-        from coxcat.models import marked_triples
-
-        for t in marked_triples(n - 1, "nn_na_pm"):
-            if t.epsilon == 0 or not t.marked:
-                continue
-            other = MarkedTriple(t.sigma, t.marked, -t.epsilon)
-            assert phi_nn_d_inverse(t, check=False) != phi_nn_d_inverse(other, check=False)
-
-
 CROSSED = sgn([[1, 3], [-1, -3], [2, -2]])
 OUTSIDE_ALL = sgn([[1, -2], [-1, 2], [3, -3]])
 NESTED_MARK = MarkedPair.make(sp([[1, 4], [2, 3]]), [(2, 3)])

@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 from coxcat.core import SetPartition, ValidationError
+from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
     FAMILIES,
     SIGNED_FAMILIES,
@@ -102,6 +104,16 @@ def test_marked_pair_construction_checks_blocks():
         MarkedPair.make(FIG2, [()])
     with pytest.raises(ValidationError, match=message):
         MarkedTriple.make(FIG2, [()], 1)
+    # a mark equal to a block is stored as that block, and epsilon as an int
+    m = MarkedPair.make(sp([[1, 2], [3]]), [(1.0, 2.0)])
+    t = MarkedTriple.make(sp([[1, 2]]), [(1, 2)], True)
+    assert repr(m.marked) == "((1, 2),)" and repr(t.epsilon) == "1"
+    assert marked_pair_from_obj(json.loads(json.dumps(marked_pair_to_obj(m)))) == m
+    assert marked_triple_from_obj(json.loads(json.dumps(marked_triple_to_obj(t)))) == t
+    with pytest.raises(ValidationError, match=r"^each of marked must be a list of integers, got \[1\.0, 2\.0\]$"):
+        marked_pair_from_obj({"sigma": {"n": 3, "blocks": [[1, 2], [3]]}, "marked": [[1.0, 2.0]]})
+    with pytest.raises(ValidationError, match="^epsilon must be -1, 0 or 1$"):
+        marked_triple_from_obj({"sigma": {"n": 2, "blocks": [[1, 2]]}, "marked": [[1, 2]], "epsilon": True})
 
 
 def test_marked_class_sizes():
@@ -171,12 +183,3 @@ def test_count_agrees_with_enumeration_over_domain(family):
                 enumerate_family(family, n)
         else:
             assert count_family(family, n) == len(enumerate_family(family, n))
-
-
-def test_count_by_type_matches_enumeration():
-    from coxcat.verify import _all_types, _int_partitions
-
-    for n in range(1, 6):
-        for fam in ("A", "B", "D"):
-            for lam in _all_types(fam, n):
-                assert count_by_type(fam, n, lam) == exhaustive_count_by_type(fam, n, lam)

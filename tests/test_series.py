@@ -13,17 +13,9 @@ from coxcat.series import (
     series_b,
     series_c,
     series_f_closed,
-    series_f_factored,
-    sqrt_one_minus_4z,
 )
 
 F = Fraction
-
-
-def test_sqrt_squares_back():
-    s = sqrt_one_minus_4z(12)
-    got = (s * s).scalar_coefficients()
-    assert got == (F(1), F(-4)) + (F(0),) * 11
 
 
 def test_c_and_b_coefficients():
@@ -47,10 +39,6 @@ def test_f_low_order_coefficients():
     assert f.coeffs[0] == {(0, 0): F(1)}
     assert f.coeffs[1] == {(1, 1): F(1)}
     assert f.coeffs[2] == {(1, 1): F(1), (2, 2): F(1)}
-
-
-def test_factored_and_closed_agree():
-    assert series_f_factored(12).coeffs == series_f_closed(12).coeffs
 
 
 def test_f_specializes_to_catalan():
