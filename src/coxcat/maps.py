@@ -100,6 +100,14 @@ def _d_pair_type(dp) -> tuple[int, ...]:
     return tuple(sorted(rest + [len(blk) + 1], reverse=True))
 
 
+def _over_absolute(p, pair, drop: int | None = None) -> bool:
+    """Whether pair's partition is |p|, the blocks {|x| : x in B} of the signed
+    partition p, less drop: psi_b's image is over |p| and psi_d's over |p| less
+    n (Biane-Goodman-Nica 2003)."""
+    absolute = {frozenset(abs(x) for x in b) - {drop} for b in p.blocks} - {frozenset()}
+    return absolute == {frozenset(b) for b in pair.sigma.blocks}
+
+
 def _phi(fam: str) -> MapPair:
     cls = SIGNED_FAMILIES[fam].marked
 
@@ -139,8 +147,10 @@ PAIRS = (
     _named(typemaps, "iota_b", "nc_nn", "nc_nn", lambda m, q: len(m.marked) % 2 == 1 or q == m),
     _named(typemaps, "iota_d", "nc_nn_pm", "nc_nn_pm", _iota_d_keeps),
     *(_composed(letter, nc, nn) for letter, (nc, nn) in typemaps.CHAINS.items()),
-    _named(encode, "psi_b", "nc_b", "b_pairs", lambda p, bp: signed_type(p) == _b_pair_type(bp)),
-    _named(encode, "psi_d", "nc_d", "d_pairs", lambda p, dp: signed_type(p) == _d_pair_type(dp)),
+    _named(encode, "psi_b", "nc_b", "b_pairs",
+           lambda p, bp: signed_type(p) == _b_pair_type(bp) and _over_absolute(p, bp)),
+    _named(encode, "psi_d", "nc_d", "d_pairs",
+           lambda p, dp: signed_type(p) == _d_pair_type(dp) and _over_absolute(p, dp, p.n)),
     _named(encode, "kappa", "nc_nn_pm", "restricted", lambda t, m: encode.is_restricted_pair(m)),
     MapPair("nc_to_dyck", "nc_to_dyck_inverse", "nc_a", "dyck", _late(encode, "nc_to_dyck"),
             lambda q, check=True: encode.dyck_to_nc(q)),

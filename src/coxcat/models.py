@@ -183,7 +183,13 @@ def enumerate_family(family: str, n: int):
 
 @dataclass(frozen=True)
 class MarkedPair:
-    """A partition together with a set of its blocks, kept sorted by maximum."""
+    """A partition together with a set of its blocks, kept sorted by maximum.
+
+    The dataclass constructor checks nothing, as the maps build pairs on hot
+    paths: it trusts that the marks are distinct blocks of sigma, sorted by
+    maximum.  ``make`` is the checked, canonicalising constructor the JSON
+    readers use.
+    """
 
     sigma: SetPartition
     marked: tuple[Block, ...]
@@ -200,6 +206,12 @@ class MarkedPair:
 
 @dataclass(frozen=True)
 class MarkedTriple:
+    """A marked pair with a sign.  Like ``MarkedPair``'s, the dataclass
+    constructor checks nothing: it trusts the marks, and that epsilon is an
+    int in {-1, 0, 1}.  ``make`` is the checked, canonicalising constructor
+    the JSON readers use.
+    """
+
     sigma: SetPartition
     marked: tuple[Block, ...]
     epsilon: int

@@ -13,8 +13,10 @@ The bijection checks sweep rows of the map table (coxcat.maps): a row's
 forward map must send its source onto its target at rank n, its inverse must
 undo it, and its statistic must hold; a check may add conditions of its own.
 
-A suite is the entries that share a suite name.  Suites are pure and
-independent, so they may be sharded across processes.  The acceptance gate
+A suite is the entries that share a suite name, and ``SUITES`` lists those
+names in registry order.  Checks are pure and independent, so
+``run_suites(jobs=N)`` runs each check as one task on N processes; the
+report is sorted by suite and name either way.  The acceptance gate
 (tests/test_acceptance.py) runs every entry at its full bound.
 """
 
@@ -452,52 +454,7 @@ def _tableau_filling(n):
 # ---------------------------------------------------------------------------
 
 
-def _run_suite(suite: str, max_n: int) -> list[Check]:
-    return [run_check(e, max_n) for e in CHECKS if e.suite == suite]
-
-
-def suite_core(max_n: int) -> list[Check]:
-    return _run_suite("core", max_n)
-
-
-def suite_signed(max_n: int) -> list[Check]:
-    return _run_suite("signed", max_n)
-
-
-def suite_models(max_n: int) -> list[Check]:
-    return _run_suite("models", max_n)
-
-
-def suite_interpret(max_n: int) -> list[Check]:
-    return _run_suite("interpret", max_n)
-
-
-def suite_typemaps(max_n: int) -> list[Check]:
-    return _run_suite("typemaps", max_n)
-
-
-def suite_series(max_n: int) -> list[Check]:
-    return _run_suite("series", max_n)
-
-
-def suite_encode(max_n: int) -> list[Check]:
-    return _run_suite("encode", max_n)
-
-
-SUITES = {
-    "core": suite_core,
-    "signed": suite_signed,
-    "models": suite_models,
-    "interpret": suite_interpret,
-    "typemaps": suite_typemaps,
-    "series": suite_series,
-    "encode": suite_encode,
-}
-
-
-def _run_one(args: tuple[str, int]) -> list[Check]:
-    name, max_n = args
-    return SUITES[name](max_n)
+SUITES = tuple(dict.fromkeys(e.suite for e in CHECKS))
 
 
 def run_suites(max_n: int = 6, names: list[str] | None = None, jobs: int = 1) -> list[Check]:
@@ -509,11 +466,10 @@ def run_suites(max_n: int = 6, names: list[str] | None = None, jobs: int = 1) ->
         raise ValidationError("max_n must be >= 1")
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
-    tasks = [(name, max_n) for name in names]
+    entries = [e for e in CHECKS if e.suite in names]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+            checks = list(pool.map(run_check, entries, itertools.repeat(max_n)))
     else:
-        results = [_run_one(t) for t in tasks]
-    checks = [c for group in results for c in group]
+        checks = [run_check(e, max_n) for e in entries]
     return sorted(checks, key=lambda c: (c.suite, c.name))

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -215,7 +216,7 @@ def test_verify_passes_below_the_d_branch_rank(capsys):
     assert code == 0 and "FAIL" not in out
 
 
-def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch):
+def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch, jobs="1"):
     import coxcat.encode
     from coxcat.core import ValidationError
 
@@ -223,9 +224,14 @@ def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeyp
         raise ValidationError("merge broke")
 
     monkeypatch.setattr(coxcat.encode, "_pairs", broken)
-    code, out, _ = run_cli(capsys, ["verify", "--max-n", "3", "--suite", "encode"])
+    code, out, _ = run_cli(capsys, ["verify", "--max-n", "3", "--suite", "encode", "--jobs", jobs])
     assert code == 2
     assert "  FAIL pair encoding of the B family is bijective with its type clause n=1: ValidationError: merge broke" in out
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only a forked worker sees the monkeypatch")
+def test_verify_reports_a_fault_inside_a_worker_as_a_failed_check(capsys, monkeypatch):
+    test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch, jobs="2")
 
 
 @pytest.mark.parametrize("args,message", [
@@ -431,3 +437,11 @@ def test_bad_truncation_order_names_the_variable(capsys, monkeypatch):
 def test_run_suites_rejects_an_unknown_suite():
     with pytest.raises(ValidationError, match="^unknown suite 'nope'$"):
         verify.run_suites(names=["nope"])
+
+
+def test_a_suite_is_the_registry_entries_that_share_its_name():
+    for suite in verify.SUITES:
+        want = sorted(e.name for e in verify.CHECKS if e.suite == suite)
+        assert [(c.suite, c.name) for c in verify.run_suites(max_n=1, names=[suite])] == [(suite, n) for n in want]
+    core = sorted(e.name for e in verify.CHECKS if e.suite == "core")
+    assert [c.name for c in verify.run_suites(max_n=1, names=["core", "core"])] == core
