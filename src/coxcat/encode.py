@@ -23,8 +23,8 @@ from .core import (
     edges,
     noncrossing_partitions,
 )
-from .interpret import _pairs, phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
-from .models import MarkedPair, MarkedTriple, _check_rank, marked_pairs, require, validate_marked
+from .interpret import phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
+from .models import MarkedPair, MarkedTriple, _check_rank, _pairs, marked_pairs, require, validate_marked
 from .signed import SignedPartition
 
 # x slot of a pair encoding: None, ("edge", (i, j)), ("block", blk) or ("int", k)

@@ -7,96 +7,32 @@ the pattern (D families are decided through the bijection itself), the class
 of marked pairs or triples, and whether the held marks sit in the middle or
 first of the marks sorted by maximum.
 
-The forward map keeps the positive parts of the blocks and marks those that
-lost negative elements; for D it also drops n and records the sign of the
-block absorbing n, or 0 when that block is {n} or the zero block.  The
-inverse holds one mark when their number k is odd, or 2 - k mod 2 marks,
-which absorb n, under a nonzero sign, and pairs the rest first-with-last.
+The unchecked reading both ways is models', whose membership and enumeration
+use it; this module adds the domain checks, the public maps and type clauses.
 """
 
 from __future__ import annotations
 
-from .core import Block, SetPartition
 from .models import (
-    MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple, domain_error, member_triple, require,
+    SIGNED_FAMILIES, MarkedPair, MarkedTriple, _pairs, _read_marked, _read_signed, domain_error, member_triple, require,
 )
-from .signed import SignedPartition, _from_pairs
-
-
-def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, list[Block]]:
-    """Parts of the blocks inside [1, top); mark those properly contained in their block."""
-    blocks: list[Block] = []
-    marked: list[Block] = []
-    for b in p.blocks:
-        pos = tuple(x for x in b if 0 < x < top)
-        if pos:
-            blocks.append(pos)
-            if len(pos) < len(b):
-                marked.append(pos)
-    return SetPartition.from_blocks(blocks, top - 1), marked
-
-
-def _epsilon_of_top_block(bn: Block, n: int) -> int:
-    """Sign rule for the block {a_1..a_r, -b_1..-b_s, n} containing n."""
-    pos = [x for x in bn if 0 < x < n]
-    neg = [-x for x in bn if x < 0]
-    if not neg:
-        return 1
-    if pos and max(pos) < max(neg):
-        return 1
-    return -1
+from .signed import SignedPartition
 
 
 def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | MarkedTriple:
-    spec = SIGNED_FAMILIES[family]
-    if check and spec.order == "bijection":
+    if check and SIGNED_FAMILIES[family].order == "bijection":
         # the type-D membership test computes the forward image on the way
         triple = member_triple(p, family)
         if triple is None:
             raise domain_error(family)
         return triple
     require(p, family, check)
-    n = p.n
-    if spec.marked not in MARKED_TRIPLE_CLASSES:
-        return MarkedPair.make(*_positive_parts(p, n + 1))
-    bn = p.block_containing(n)
-    eps = 0 if bn == (n,) or p.zero_block() is not None else _epsilon_of_top_block(bn, n)
-    return MarkedTriple.make(*_positive_parts(p, n), eps)
-
-
-def held_marks(family: str, m: MarkedPair | MarkedTriple) -> slice:
-    """The slice of m.marked (sorted by maximum) that the family's inverse holds, by the module docstring's rule."""
-    k = len(m.marked)
-    h = 2 - k % 2 if isinstance(m, MarkedTriple) and m.epsilon else k % 2
-    s = (k - h) // 2 if SIGNED_FAMILIES[family].held == "middle" else 0
-    return slice(s, s + h)
-
-
-def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block]]:
-    """The pairs (A, A') whose blocks A u -A' and their mirrors make up the image.
-
-    Under a nonzero sign e the held marks H give (H_1 + (e n,), H_2 or ()).
-    Otherwise a held mark A gives (A, A), the zero block, which takes +-n
-    along for a triple; a triple without held marks gets ((n,), ()).
-    """
-    top = (m.sigma.n + 1,) if isinstance(m, MarkedTriple) else ()
-    eps = m.epsilon if top else 0
-    at = held_marks(family, m)
-    held, rest = m.marked[at], m.marked[:at.start] + m.marked[at.stop:]
-    pairs = [(rest[i], rest[-1 - i]) for i in range(len(rest) // 2)]
-    if eps:
-        pairs.append((held[0] + (eps * top[0],), held[1] if len(held) == 2 else ()))
-    elif held:
-        pairs.append((held[0] + top, held[0] + top))
-    elif top:
-        pairs.append((top, ()))
-    return pairs
+    return _read_marked(family, p)
 
 
 def _inverse(family: str, m: MarkedPair | MarkedTriple, check: bool) -> SignedPartition:
     require(m, SIGNED_FAMILIES[family].marked, check)
-    n = m.sigma.n + 1 if isinstance(m, MarkedTriple) else m.sigma.n
-    return _from_pairs(m.sigma, m.marked, _pairs(family, m), n)
+    return _read_signed(family, m)
 
 
 def _type_clause(family: str, m: MarkedPair | MarkedTriple) -> tuple[int, ...]:

@@ -6,6 +6,12 @@ representation must avoid the pattern in the family's total order, and the D
 families are decided through their marked-triple bijection.  Signed families
 are enumerated through their inverse bijection; filtering is the oracle.
 
+The unchecked reading of that bijection keeps the positive parts of the blocks
+and marks those that lost negative elements; for D it drops n and records the
+sign of the block absorbing n, or 0 when that block is {n} or the zero block.
+Back, it holds one mark when their number k is odd, or 2 - k mod 2 marks,
+which absorb n, under a nonzero sign, and pairs the rest first-with-last.
+
 Every checked map guards its input with require(x, domain, check), for a
 family or a marked class, so each domain has one decision and one error text.
 """
@@ -31,7 +37,7 @@ from .core import (
     special_blocks,
     type_of,
 )
-from .signed import SignedPartition, count_signed, enumerate_signed, signed_type
+from .signed import SignedPartition, _from_pairs, count_signed, enumerate_signed, signed_type
 
 FAMILIES = ("nc_a", "nn_a", "pi_b", "nc_b", "nc_d", "nn_b", "nn_c", "nn_d")
 UNSIGNED_FAMILIES = ("nc_a", "nn_a")
@@ -135,9 +141,6 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     back can wrap around the center the wrong way, and in the nonnesting
     case the merge also excludes genuine members.
     """
-    # interpret builds its maps on this module, so it is imported at call time
-    from . import interpret
-
     if not isinstance(p, SignedPartition):
         raise ValidationError(f"family {family} needs a signed partition")
     n = p.n
@@ -145,12 +148,12 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     if z is not None and not {n, -n} < set(z):
         return None
     try:
-        triple = interpret._forward(family, p, check=False)
+        triple = _read_marked(family, p)
     except ValidationError:
         return None
     if not validate_marked(triple, SIGNED_FAMILIES[family].marked):
         return None
-    return triple if interpret._inverse(family, triple, check=False) == p else None
+    return triple if _read_signed(family, triple) == p else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -168,10 +171,7 @@ def enumerate_family(family: str, n: int):
     elif family == "pi_b":
         items = list(enumerate_signed(n))
     elif family in SIGNED_FAMILIES:
-        # interpret builds its maps on this module, so it is imported at call time
-        from .interpret import _inverse
-
-        items = [_inverse(family, m, check=False) for m in marked_members(SIGNED_FAMILIES[family].marked, n)]
+        items = [_read_signed(family, m) for m in marked_members(SIGNED_FAMILIES[family].marked, n)]
     else:
         raise ValidationError(f"unknown family {family!r}")
     return tuple(sorted(items, key=lambda p: p.blocks))
@@ -296,6 +296,75 @@ def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]
     if cls_name in MARKED_TRIPLE_CLASSES:
         return marked_triples(n - 1, cls_name)
     return marked_pairs(n, cls_name)
+
+
+def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, list[Block]]:
+    """Parts of the blocks inside [1, top); mark those properly contained in their block."""
+    blocks: list[Block] = []
+    marked: list[Block] = []
+    for b in p.blocks:
+        pos = tuple(x for x in b if 0 < x < top)
+        if pos:
+            blocks.append(pos)
+            if len(pos) < len(b):
+                marked.append(pos)
+    return SetPartition.from_blocks(blocks, top - 1), marked
+
+
+def _epsilon_of_top_block(bn: Block, n: int) -> int:
+    """Sign rule for the block {a_1..a_r, -b_1..-b_s, n} containing n."""
+    pos = [x for x in bn if 0 < x < n]
+    neg = [-x for x in bn if x < 0]
+    if not neg:
+        return 1
+    if pos and max(pos) < max(neg):
+        return 1
+    return -1
+
+
+def _read_marked(family: str, p: SignedPartition) -> MarkedPair | MarkedTriple:
+    """The forward reading of p, trusting that p is a member of the family."""
+    n = p.n
+    if SIGNED_FAMILIES[family].marked not in MARKED_TRIPLE_CLASSES:
+        return MarkedPair.make(*_positive_parts(p, n + 1))
+    bn = p.block_containing(n)
+    eps = 0 if bn == (n,) or p.zero_block() is not None else _epsilon_of_top_block(bn, n)
+    return MarkedTriple.make(*_positive_parts(p, n), eps)
+
+
+def held_marks(family: str, m: MarkedPair | MarkedTriple) -> slice:
+    """The slice of m.marked (sorted by maximum) that the family's inverse holds, by the module docstring's rule."""
+    k = len(m.marked)
+    h = 2 - k % 2 if isinstance(m, MarkedTriple) and m.epsilon else k % 2
+    s = (k - h) // 2 if SIGNED_FAMILIES[family].held == "middle" else 0
+    return slice(s, s + h)
+
+
+def _pairs(family: str, m: MarkedPair | MarkedTriple) -> list[tuple[Block, Block]]:
+    """The pairs (A, A') whose blocks A u -A' and their mirrors make up the image.
+
+    Under a nonzero sign e the held marks H give (H_1 + (e n,), H_2 or ()).
+    Otherwise a held mark A gives (A, A), the zero block, which takes +-n
+    along for a triple; a triple without held marks gets ((n,), ()).
+    """
+    top = (m.sigma.n + 1,) if isinstance(m, MarkedTriple) else ()
+    eps = m.epsilon if top else 0
+    at = held_marks(family, m)
+    held, rest = m.marked[at], m.marked[:at.start] + m.marked[at.stop:]
+    pairs = [(rest[i], rest[-1 - i]) for i in range(len(rest) // 2)]
+    if eps:
+        pairs.append((held[0] + (eps * top[0],), held[1] if len(held) == 2 else ()))
+    elif held:
+        pairs.append((held[0] + top, held[0] + top))
+    elif top:
+        pairs.append((top, ()))
+    return pairs
+
+
+def _read_signed(family: str, m: MarkedPair | MarkedTriple) -> SignedPartition:
+    """The inverse reading of m, trusting that m lies in the family's marked class."""
+    n = m.sigma.n + 1 if isinstance(m, MarkedTriple) else m.sigma.n
+    return _from_pairs(m.sigma, m.marked, _pairs(family, m), n)
 
 
 # ---------------------------------------------------------------------------

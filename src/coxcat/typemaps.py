@@ -33,7 +33,7 @@ from .core import (
 )
 from . import interpret
 # is_member is not called here; perfbench/selftest.py checks that its tracer rebinds this import.
-from .models import SIGNED_FAMILIES, MarkedPair, MarkedTriple, is_member, require  # noqa: F401
+from .models import SIGNED_FAMILIES, MarkedPair, MarkedTriple, held_marks, is_member, require  # noqa: F401
 from .signed import SignedPartition
 
 
@@ -394,7 +394,7 @@ def _on_pair(f, m: MarkedPair | MarkedTriple) -> MarkedPair | MarkedTriple:
 def _iota(family: str, m: MarkedPair | MarkedTriple, check: bool, inverse: bool = False) -> MarkedPair | MarkedTriple:
     """Move the marked components that family's inverse holds to the front, the rest keeping their order."""
     require(m, SIGNED_FAMILIES[family].marked, check)
-    held = interpret.held_marks(family, m)
+    held = held_marks(family, m)
     s, h = held.start, held.stop - held.start
     # components a+1..a+w go first, then 1..a: the held ones, or for the inverse the s they overtook
     a, w = (h, s) if inverse else (s, h)

@@ -248,6 +248,27 @@ def _type_counts(n):
     return True
 
 
+@_declare("models", "type counts by number of parts are the Narayana numbers of types B and D", 1, 12)
+def _narayana_counts(n):
+    # exhaustive_count_by_type stays the oracle of count_by_type itself, at the bound of the check above
+    for fam in ("B", "D") if n >= 2 else ("B",):
+        by_parts = Counter()
+        for lam in _all_types(fam, n):
+            by_parts[len(lam)] += models.count_by_type(fam, n, lam)
+        if any(by_parts[ell] != _narayana(fam, n, ell) for ell in range(n + 1)):
+            return False
+    return True
+
+
+def _narayana(fam: str, n: int, ell: int) -> Fraction:
+    """Members of NC_B(n) (Reiner 1997) or NC_D(n), n >= 2 (Athanasiadis-Reiner 2004) with ell nonzero block pairs."""
+    if fam == "B":
+        return Fraction(math.comb(n, ell) ** 2)
+    if ell == 0:
+        return Fraction(1)
+    return math.comb(n, ell) ** 2 - Fraction(n, n - 1) * math.comb(n - 1, ell - 1) * math.comb(n - 1, ell)
+
+
 def _all_types(fam: str, n: int):
     if fam == "A":
         yield from _int_partitions(n)

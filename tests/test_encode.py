@@ -34,9 +34,8 @@ from coxcat.encode import (
     varphi_d,
     varphi_d_inverse,
 )
-from coxcat.interpret import _pairs
 from coxcat.jsonio import b_pair_from_obj, b_pair_to_obj, d_pair_from_obj, d_pair_to_obj
-from coxcat.models import MarkedPair, MarkedTriple, marked_members
+from coxcat.models import MarkedPair, MarkedTriple, _pairs, marked_members
 from coxcat.signed import SignedPartition
 
 sp = SetPartition.from_blocks

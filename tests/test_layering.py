@@ -1,35 +1,62 @@
-"""Module layering: no import deferred into a function body but the one real cycle.
+"""Module layering: every relative import sits at module top, and the imports are acyclic.
 
-interpret builds its maps on models, while models decides type-D membership
-and enumerates every signed family through interpret's inverse bijections, so
-models imports interpret at call time.  Every other import sits at module top.
+models holds the unchecked reading of each signed family as its marked class
+and back, so it decides type-D membership and enumerates every signed family
+without interpret, whose checked maps are built on it.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import coxcat
 
-ALLOWED = {("models", "interpret")}
+SRC = Path(coxcat.__file__).parent
 
 
-def _deferred_imports(path: Path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(fn):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                targets = [node.module] if node.module else [a.name for a in node.names]
-                for target in targets:
-                    yield fn.name, target.split(".")[0]
+def _relative_imports(node: ast.AST):
+    """The coxcat modules that the relative imports under node name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and sub.level > 0:
+            targets = [sub.module] if sub.module else [a.name for a in sub.names]
+            yield from (target.split(".")[0] for target in targets)
 
 
-def test_no_deferred_relative_imports_but_models_to_interpret():
-    src = Path(coxcat.__file__).parent
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_relative_import_in_a_function_body():
     found = []
-    for path in sorted(src.glob("*.py")):
-        for fn, target in _deferred_imports(path):
-            if (path.stem, target) not in ALLOWED:
-                found.append(f"{path.name}:{fn} imports {target}")
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{fn.name} imports {target}" for target in _relative_imports(fn)]
     assert found == []
+
+
+def test_module_level_imports_are_acyclic():
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        top = [node for node in _tree(path).body if isinstance(node, ast.ImportFrom)]
+        graph[path.stem] = {target for node in top for target in _relative_imports(node)}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as e:
+        raise AssertionError(f"import cycle: {e.args[1]}") from None
+
+
+def test_type_d_membership_and_enumeration_do_not_load_interpret():
+    script = (
+        "import sys, coxcat\n"
+        "p = coxcat.SignedPartition.from_blocks([[1, 2], [-2, -1], [3], [-3]])\n"
+        "assert coxcat.is_member(p, 'nc_d')\n"
+        "assert len(coxcat.enumerate_family('nn_d', 4)) == coxcat.count_family('nn_d', 4)\n"
+        "print('coxcat.interpret' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
