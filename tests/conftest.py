@@ -1,15 +1,27 @@
-"""Random members of the map table's domains (coxcat.maps.DOMAINS) for the
-large-n round-trip tests."""
+"""The paper's worked figures shared by several test files, and random
+members of the map table's domains (coxcat.maps.DOMAINS) for the large-n
+round-trip tests."""
 
 import random
 
 from hypothesis import strategies as st
 
 from coxcat import maps
-from coxcat.core import nonaligned_blocks, nonnested_blocks
+from coxcat.core import SetPartition, nonaligned_blocks, nonnested_blocks
 from coxcat.encode import LatticePath, dyck_to_nc
 from coxcat.models import MARKED_CLASSES, MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple
+from coxcat.signed import SignedPartition
 from coxcat.typemaps import rho
+
+FIG2 = SetPartition.from_blocks([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]])
+FIG4 = SignedPartition.from_blocks(
+    [[1, 4, 5, -10], [-1, -4, -5, 10], [2, 3], [-2, -3], [7, 9, -7, -9], [6], [-6], [8], [-8]]
+)
+FIG5 = SignedPartition.from_blocks(
+    [[1, 2, -8], [-1, -2, 8], [-3, -5, 6, 7, 10], [3, 5, -6, -7, -10], [4], [-4], [9], [-9]]
+)
+# phi_nc_b(FIG4).sigma, the partition of the Dyck-path and g-map examples
+FIG4_SIGMA = SetPartition.from_blocks([[1, 4, 5], [2, 3], [6], [7, 9], [8], [10]])
 
 # The domains random_member draws from; the others are reached through the maps.
 SAMPLED = ("nc_a", "nn_a") + MARKED_CLASSES + MARKED_TRIPLE_CLASSES + tuple(SIGNED_FAMILIES)

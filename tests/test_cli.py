@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import coxcat
+from conftest import FIG2
 from coxcat import verify
 from coxcat.cli import MAPS, main
 from coxcat.core import SetPartition, ValidationError
@@ -246,7 +247,7 @@ def test_verify_rejects_a_bad_domain_before_running(capsys, args, message):
     assert err.strip() == f"error: {message}"
 
 
-def test_verify_sharded_by_suite_prints_what_a_serial_run_prints(capsys):
+def test_verify_sharded_by_check_prints_what_a_serial_run_prints(capsys):
     args = ["verify", "--max-n", "3", "--suite", "all"]
     serial = run_cli(capsys, args + ["--jobs", "1"])
     sharded = run_cli(capsys, args + ["--jobs", "2"])
@@ -264,7 +265,7 @@ def test_render_arcs_golden(capsys, monkeypatch):
 
 
 def test_render_arcs_fig2_golden():
-    text = render_arcs(sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]]))
+    text = render_arcs(FIG2)
     assert text == "\n".join(
         [
             ".-----.-----------.",

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIG2
 from coxcat.core import (
     EMPTY,
     SetPartition,
@@ -28,7 +29,6 @@ from coxcat.models import _with_zero_element, order_nc_b, order_nn_b, order_nn_c
 from coxcat.signed import enumerate_signed
 
 sp = SetPartition.from_blocks
-FIG2 = sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]])
 
 
 def test_canonical_form():

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import FIG4_SIGMA, FIG5
 from coxcat.core import EMPTY, SetPartition, ValidationError, edges, noncrossing_partitions
 from coxcat.encode import (
     BPair,
@@ -120,11 +121,10 @@ def test_psi_b_examples():
 
 
 def test_psi_d_fig5_slot():
-    fig5 = sgn([[1, 2, -8], [-1, -2, 8], [-3, -5, 6, 7, 10], [3, 5, -6, -7, -10], [4], [-4], [9], [-9]])
-    dp = psi_d(fig5)
+    dp = psi_d(FIG5)
     assert dp.sigma == sp([[1, 2, 8], [3, 5, 6, 7], [4], [9]])
     assert dp.x == ("int", -5)
-    assert psi_d_inverse(dp) == fig5
+    assert psi_d_inverse(dp) == FIG5
 
 
 def _unmerge(sigma, spanning, seeds):
@@ -222,10 +222,9 @@ def test_kappa_branches():
 def test_dyck_examples():
     assert nc_to_dyck(sp([[1, 2]])).steps == "NNEE"
     assert nc_to_dyck(sp([[1]])).steps == "NE"
-    fig = sp([[1, 4, 5], [2, 3], [6], [7, 9], [8], [10]])
-    path = nc_to_dyck(fig)
+    path = nc_to_dyck(FIG4_SIGMA)
     assert path.steps == "NNNNEEENEENENNNEEENE"
-    assert dyck_to_nc(path) == fig
+    assert dyck_to_nc(path) == FIG4_SIGMA
     with pytest.raises(ValidationError):
         dyck_to_nc(LatticePath("EN"))
 
@@ -241,7 +240,7 @@ def test_lattice_path_validation():
 
 
 def test_g_map_fig8():
-    m = MarkedPair.make(sp([[1, 4, 5], [2, 3], [6], [7, 9], [8], [10]]), [(1, 4, 5), (6,), (10,)])
+    m = MarkedPair.make(FIG4_SIGMA, [(1, 4, 5), (6,), (10,)])
     path = g_map(m)
     assert path.steps == "EEEENNNENNENNNNEEEEN"
     pts = set(path.points())

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import FIG4, FIG4_SIGMA, FIG5
 from coxcat.core import SetPartition, ValidationError
 from coxcat.interpret import (
     phi_nc_b,
@@ -21,24 +22,28 @@ from coxcat.interpret import (
     type_clause_nn_d,
     unmarked_type,
 )
-from coxcat.models import MarkedPair, MarkedTriple, enumerate_family
+from coxcat.models import MarkedPair, MarkedTriple
 from coxcat.signed import SignedPartition, signed_type
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
 
-FIG4 = sgn([[1, 4, 5, -10], [-1, -4, -5, 10], [2, 3], [-2, -3], [7, 9, -7, -9], [6], [-6], [8], [-8]])
-FIG5 = sgn([[1, 2, -8], [-1, -2, 8], [-3, -5, 6, 7, 10], [3, 5, -6, -7, -10], [4], [-4], [9], [-9]])
 FIG6 = sgn([[1, 3, 7, -7, -3, -1], [2, 4], [-2, -4], [5, 9, -10, -6], [-5, -9, 10, 6], [8], [-8]])
 FIG7 = sgn([[1, 3, 7, -10, -6], [-1, -3, -7, 10, 6], [2, 4], [-2, -4], [5, 9, -9, -5], [8], [-8]])
 FIG8 = sgn([[1, 4, 7, -3, -6, 10], [-1, -4, -7, 3, 6, -10], [2], [-2], [5, 9, -8], [-5, -9, 8]])
 
 
+def _type_read_off(m, clause):
+    """The signed type of a marked object's preimage: its unmarked type plus the family's type clause."""
+    return tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
+
+
 def test_phi_nc_b_fig4():
     m = phi_nc_b(FIG4)
-    assert m.sigma == sp([[1, 4, 5], [2, 3], [6], [7, 9], [8], [10]])
+    assert m.sigma == FIG4_SIGMA
     assert set(m.marked) == {(1, 4, 5), (7, 9), (10,)}
     assert phi_nc_b_inverse(m) == FIG4
+    assert signed_type(FIG4) == _type_read_off(m, type_clause_b)
 
 
 def test_phi_nc_b_trivial_and_forced_zero():
@@ -56,6 +61,7 @@ def test_phi_nc_d_fig5():
     assert set(t.marked) == {(1, 2), (3, 5), (6, 7), (8,)}
     assert t.epsilon == -1
     assert phi_nc_d_inverse(t) == FIG5
+    assert signed_type(FIG5) == _type_read_off(t, type_clause_nc_d)
 
 
 def test_phi_nc_d_small_branches():
@@ -76,6 +82,7 @@ def test_phi_nn_b_fig6():
     back = phi_nn_b_inverse(m)
     assert back == FIG6
     assert back.zero_block() == (-7, -3, -1, 1, 3, 7)
+    assert signed_type(FIG6) == _type_read_off(m, type_clause_nn_b)
 
 
 def test_phi_nn_c_fig7_differs_from_b():
@@ -85,6 +92,7 @@ def test_phi_nn_c_fig7_differs_from_b():
     assert phi_nn_c_inverse(m) == FIG7
     assert FIG6 != FIG7
     assert phi_nn_c_inverse(m).zero_block() == (-9, -5, 5, 9)
+    assert signed_type(FIG7) == _type_read_off(m, type_clause_nn_c)
 
 
 def test_phi_nn_c_empty_marks():
@@ -100,6 +108,7 @@ def test_phi_nn_d_fig8():
     assert t.marked == ((3, 6), (1, 4, 7), (8,), (5, 9))
     assert t.epsilon == -1
     assert phi_nn_d_inverse(t) == FIG8
+    assert signed_type(FIG8) == _type_read_off(t, type_clause_nn_d)
 
 
 def test_phi_nn_d_trivial():
@@ -146,21 +155,3 @@ def test_membership_precondition_enforced(fn, arg, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         fn(arg, check=True)
 
-
-@pytest.mark.parametrize(
-    "family,fwd,inv,clause",
-    [
-        ("nc_b", phi_nc_b, phi_nc_b_inverse, type_clause_b),
-        ("nn_b", phi_nn_b, phi_nn_b_inverse, type_clause_nn_b),
-        ("nn_c", phi_nn_c, phi_nn_c_inverse, type_clause_nn_c),
-        ("nc_d", phi_nc_d, phi_nc_d_inverse, type_clause_nc_d),
-        ("nn_d", phi_nn_d, phi_nn_d_inverse, type_clause_nn_d),
-    ],
-)
-def test_roundtrip_and_type_clause_small(family, fwd, inv, clause):
-    for n in range(1, 5):
-        for p in enumerate_family(family, n):
-            m = fwd(p, check=False)
-            assert inv(m, check=False) == p
-            want = tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
-            assert signed_type(p) == want

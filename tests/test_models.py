@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import FIG2, FIG4, FIG5
 from coxcat.core import SetPartition, ValidationError
 from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
@@ -23,10 +24,6 @@ from coxcat.signed import SignedPartition, enumerate_signed
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
-
-FIG2 = sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]])
-FIG4 = sgn([[1, 4, 5, -10], [-1, -4, -5, 10], [2, 3], [-2, -3], [7, 9, -7, -9], [6], [-6], [8], [-8]])
-FIG5 = sgn([[1, 2, -8], [-1, -2, 8], [-3, -5, 6, 7, 10], [3, 5, -6, -7, -10], [4], [-4], [9], [-9]])
 
 
 def test_membership_worked_examples():
@@ -58,10 +55,10 @@ def test_membership_needs_matching_kind():
         ("nc_b", 3, 20),
         ("nn_b", 3, 20),
         ("nn_c", 3, 20),
-        ("nc_d", 3, 14),
-        ("nn_d", 3, 14),
         ("pi_b", 3, 24),
-    ],
+    ]
+    # the type-D counts, kept as independent data
+    + [(fam, n, c) for fam in ("nc_d", "nn_d") for n, c in ((2, 4), (3, 14), (4, 50), (5, 182), (6, 672))],
 )
 def test_family_counts(family, n, count):
     assert len(enumerate_family(family, n)) == count
@@ -140,6 +137,8 @@ def test_marked_pairs_yield_at_large_n():
         ("B", 3, (), 1),
         ("A", 0, (), 1),
         ("B", 0, (), 1),
+        ("D", 4, (2, 2), 6),  # parts summing to n
+        ("D", 4, (2,), 3),  # parts summing to n - 2
     ],
 )
 def test_count_by_type_examples(family, n, lam, expected):

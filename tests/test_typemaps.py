@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import random_member, random_noncrossing
+from conftest import FIG2, FIG4, random_member, random_noncrossing
 from coxcat import typemaps
 from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks, slice_partition
 from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
@@ -33,7 +33,6 @@ from coxcat.typemaps import (
 )
 
 sp = SetPartition.from_blocks
-FIG2 = sp([[1, 4, 10], [2, 3], [5, 6, 7, 9], [8]])
 
 
 def test_rho_examples():
@@ -227,10 +226,7 @@ def test_iota_permutes_by_the_hand_written_rule():
 
 
 def test_composed_map_type_oracle_fig4():
-    fig4 = SignedPartition.from_blocks(
-        [[1, 4, 5, -10], [-1, -4, -5, 10], [2, 3], [-2, -3], [7, 9, -7, -9], [6], [-6], [8], [-8]]
-    )
-    q = nc_to_nn("B", fig4)
+    q = nc_to_nn("B", FIG4)
     from coxcat.models import is_member
 
     assert is_member(q, "nn_b")
