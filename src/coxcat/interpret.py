@@ -1,11 +1,11 @@
 """Bijections between the signed families and marked type-A objects.
 
 The five signed families are one construction (Reiner 1997; Athanasiadis-
-Reiner 2004) that varies in three choices, one row per family in
-models.SIGNED_FAMILIES: the total order whose standard representation avoids
-the pattern (D families are decided through the bijection itself), the class
-of marked pairs or triples, and whether the held marks sit in the middle or
-first of the marks sorted by maximum.
+Reiner 2004) that varies in two choices, one row per family in
+models.SIGNED_FAMILIES: the class of marked pairs or triples, and whether the
+held marks sit in the middle or first of the marks sorted by maximum.  A
+type-B or type-C member avoids its pattern in the family's own total order; a
+type-D member is one that the marked-triple round trip reproduces.
 
 The unchecked reading both ways is models', whose membership and enumeration
 use it; this module adds the domain checks, the public maps and type clauses.
@@ -14,13 +14,14 @@ use it; this module adds the domain checks, the public maps and type clauses.
 from __future__ import annotations
 
 from .models import (
-    SIGNED_FAMILIES, MarkedPair, MarkedTriple, _pairs, _read_marked, _read_signed, domain_error, member_triple, require,
+    MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple, _pairs, _read_marked, _read_signed, domain_error,
+    member_triple, require,
 )
 from .signed import SignedPartition
 
 
 def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | MarkedTriple:
-    if check and SIGNED_FAMILIES[family].order == "bijection":
+    if check and SIGNED_FAMILIES[family].marked in MARKED_TRIPLE_CLASSES:
         # the type-D membership test computes the forward image on the way
         triple = member_triple(p, family)
         if triple is None:

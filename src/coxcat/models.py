@@ -1,10 +1,11 @@
 """Membership, enumeration, and counting for the eight partition families.
 
-Families are named nc_a, nn_a, pi_b, nc_b, nc_d, nn_b, nn_c, nn_d.  Signed
-memberships read the family's row of SIGNED_FAMILIES: the standard
-representation must avoid the pattern in the family's total order, and the D
-families are decided through their marked-triple bijection.  Signed families
-are enumerated through their inverse bijection; filtering is the oracle.
+Families are named nc_a, nn_a, pi_b, nc_b, nc_d, nn_b, nn_c, nn_d.  A signed
+member of type B or C has a standard representation that avoids the pattern
+in the family's total order (_ORDERS); the D families are decided by the
+round trip through their marked triples.  Signed families are enumerated
+through the inverse bijection of their SIGNED_FAMILIES row; filtering is the
+oracle.
 
 The unchecked reading of that bijection keeps the positive parts of the blocks
 and marks those that lost negative elements; for D it drops n and records the
@@ -72,26 +73,25 @@ _ORDERS = {"nc_b": order_nc_b, "nn_b": order_nn_b, "nn_c": order_nn_c}
 
 @dataclass(frozen=True)
 class SignedFamily:
-    """The three choices that tell the signed families apart.
+    """The two choices that tell the signed families apart beyond their name.
 
-    order names the membership order (a key of _ORDERS), or is "bijection"
-    when membership is decided through the marked-triple map; marked is the
-    marked class in bijection with the family; held says whether the unpaired
-    marks sit "middle" or "first".  The pattern a member avoids is in the
-    name: nc_* families avoid crossings, nn_* families nestings.
+    marked is the marked class in bijection with the family; held says
+    whether the unpaired marks sit "middle" or "first".  The name carries the
+    rest: nc_* families avoid crossings, nn_* families nestings, in the total
+    order _ORDERS[name] for types B and C; a type-D family (marked in a
+    triple class) is decided by the marked-triple round trip.
     """
 
-    order: str
     marked: str
     held: str
 
 
 SIGNED_FAMILIES = {
-    "nc_b": SignedFamily("nc_b", "nc_nn", "middle"),
-    "nn_b": SignedFamily("nn_b", "nn_na", "first"),
-    "nn_c": SignedFamily("nn_c", "nn_na", "middle"),
-    "nc_d": SignedFamily("bijection", "nc_nn_pm", "middle"),
-    "nn_d": SignedFamily("bijection", "nn_na_pm", "first"),
+    "nc_b": SignedFamily("nc_nn", "middle"),
+    "nn_b": SignedFamily("nn_na", "first"),
+    "nn_c": SignedFamily("nn_na", "middle"),
+    "nc_d": SignedFamily("nc_nn_pm", "middle"),
+    "nn_d": SignedFamily("nn_na_pm", "first"),
 }
 
 
@@ -118,10 +118,9 @@ def is_member(p, family: str) -> bool:
         raise ValidationError(f"family {family} needs a signed partition")
     if family == "pi_b":
         return True
-    spec = SIGNED_FAMILIES[family]
-    if spec.order == "bijection":
+    if SIGNED_FAMILIES[family].marked in MARKED_TRIPLE_CLASSES:
         return member_triple(p, family) is not None
-    order = _ORDERS[spec.order](p.n)
+    order = _ORDERS[family](p.n)
     # 0 sits between the halves of the type-B nesting order and joins the zero block
     blocks = _with_zero_element(p) if 0 in order else p
     return (noncrossing_wrt if family.startswith("nc") else nonnesting_wrt)(blocks, order)
@@ -131,9 +130,10 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     """The marked triple of p when p is a member of the type-D family, else None.
 
     Membership is decided as lying in the image of the marked-triple
-    bijection: a zero block must properly contain {n, -n}, the forward
-    reading must give a valid triple and its inverse must reproduce the
-    input.  That triple is the forward image, so a checked forward map reads
+    bijection: the forward reading must give a valid triple and its inverse
+    must reproduce the input.  That round trip alone rejects a zero block
+    that is exactly {n, -n} or misses +-n, and n = 0, where the reading
+    fails.  The triple is the forward image, so a checked forward map reads
     it from here instead of computing it again.
 
     Merging the blocks of n and -n and testing the rest as a type-B partition
@@ -143,10 +143,6 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     """
     if not isinstance(p, SignedPartition):
         raise ValidationError(f"family {family} needs a signed partition")
-    n = p.n
-    z = p.zero_block()
-    if z is not None and not {n, -n} < set(z):
-        return None
     try:
         triple = _read_marked(family, p)
     except ValidationError:

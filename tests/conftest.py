@@ -1,14 +1,16 @@
-"""The paper's worked figures shared by several test files, and random
-members of the map table's domains (coxcat.maps.DOMAINS) for the large-n
-round-trip tests."""
+"""The paper's worked figures shared by several test files, the objects just
+outside each domain of the map table (coxcat.maps.DOMAINS) for the guard
+tests, and random members of those domains for the large-n round-trip tests."""
 
 import random
+import re
 
+import pytest
 from hypothesis import strategies as st
 
 from coxcat import maps
-from coxcat.core import SetPartition, nonaligned_blocks, nonnested_blocks
-from coxcat.encode import LatticePath, dyck_to_nc
+from coxcat.core import EMPTY, SetPartition, ValidationError, nonaligned_blocks, nonnested_blocks
+from coxcat.encode import BPair, DPair, LatticePath, ShiftedTableau, dyck_to_nc
 from coxcat.models import MARKED_CLASSES, MARKED_TRIPLE_CLASSES, SIGNED_FAMILIES, MarkedPair, MarkedTriple
 from coxcat.signed import SignedPartition
 from coxcat.typemaps import rho
@@ -22,6 +24,63 @@ FIG5 = SignedPartition.from_blocks(
 )
 # phi_nc_b(FIG4).sigma, the partition of the Dyck-path and g-map examples
 FIG4_SIGMA = SetPartition.from_blocks([[1, 4, 5], [2, 3], [6], [7, 9], [8], [10]])
+
+CROSSING = SetPartition.from_blocks([[1, 3], [2, 4]])
+NESTING = SetPartition.from_blocks([[1, 4], [2, 3]])
+NESTED_MARK = MarkedPair.make(NESTING, [(2, 3)])  # nonaligned, but nested
+ALIGNED_MARK = MarkedPair.make(SetPartition.from_blocks([[1, 2], [3, 4]]), [(1, 2)])  # nonnested, but aligned
+NESTED_TRIPLE = MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1)
+ALIGNED_TRIPLE = MarkedTriple(ALIGNED_MARK.sigma, ALIGNED_MARK.marked, 1)
+CROSSED = SignedPartition.from_blocks([[1, 3], [-1, -3], [2, -2]])  # crossing in types B and D
+OUTSIDE_ALL = SignedPartition.from_blocks([[1, -2], [-1, 2], [3, -3]])  # in no nonnesting family
+EMPTY_PAIR = MarkedPair.make(EMPTY, ())  # rank 0, below the least rank of the restricted pairs
+
+# domain -> (objects just outside it, the one error text of its guard).  Every
+# path lies in "paths", so that domain has no entry.
+OUTSIDE = {
+    "nc_a": ((CROSSING,), "not a noncrossing partition"),
+    "nn_a": ((NESTING,), "not a nonnesting partition"),
+    "nc_nn": ((NESTED_MARK,), "not a marked noncrossing pair with nonnested marks"),
+    "nc_na": ((ALIGNED_MARK,), "not a marked noncrossing pair with nonaligned marks"),
+    "nn_na": ((ALIGNED_MARK,), "not a marked nonnesting pair with nonaligned marks"),
+    "nc_nn_pm": ((NESTED_TRIPLE,), "not a marked noncrossing triple with nonnested marks"),
+    "nc_na_pm": ((ALIGNED_TRIPLE,), "not a marked noncrossing triple with nonaligned marks"),
+    "nn_na_pm": ((ALIGNED_TRIPLE,), "not a marked nonnesting triple with nonaligned marks"),
+    "nc_b": ((CROSSED,), "not a type-B noncrossing partition"),
+    "nn_b": ((OUTSIDE_ALL,), "not a type-B nonnesting partition"),
+    "nn_c": ((OUTSIDE_ALL,), "not a type-C nonnesting partition"),
+    "nc_d": ((CROSSED,), "not a type-D noncrossing partition"),
+    "nn_d": ((OUTSIDE_ALL,), "not a type-D nonnesting partition"),
+    "restricted": ((MarkedPair.make(SetPartition.from_blocks([[1], [2]]), [(2,)]), EMPTY_PAIR),
+                   "not a restricted marked noncrossing pair"),
+    "b_pairs": ((BPair(CROSSING, None),), "not a noncrossing partition"),
+    "d_pairs": ((DPair(CROSSING, None),), "not a noncrossing partition"),
+    "dyck": ((LatticePath("ENNE"),), "not a Dyck path"),
+    "CT_B": ((ShiftedTableau.make([1], [2], ()),), "not a valid Catalan tableau"),
+}
+
+
+def guard_params(*names):
+    """pytest params (map, x, text) for the named rows of the map table, or
+    all of them, both ways: each map with each object just outside its input
+    domain and the text its guard must raise, id'd by the map's CLI name."""
+    seen = set()
+    for row in maps.PAIRS:
+        if names and row.name not in names:
+            continue
+        for name, call, domain in ((row.name, row.forward, row.source), (row.inverse_name, row.inverse, row.target)):
+            if name in seen or domain == "paths":
+                continue
+            seen.add(name)
+            objects, text = OUTSIDE[domain]
+            for x in objects:
+                yield pytest.param(call, x, text, id=name + ("_rank0" if x is EMPTY_PAIR else ""))
+
+
+def raises_guard_text(call, x, text):
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        call(x, check=True)
+
 
 # The domains random_member draws from; the others are reached through the maps.
 SAMPLED = ("nc_a", "nn_a") + MARKED_CLASSES + MARKED_TRIPLE_CLASSES + tuple(SIGNED_FAMILIES)

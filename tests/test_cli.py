@@ -12,25 +12,7 @@ from coxcat import verify
 from coxcat.cli import MAPS, main
 from coxcat.core import SetPartition, ValidationError
 from coxcat.encode import f_map
-from coxcat.jsonio import (
-    b_pair_from_obj,
-    b_pair_to_obj,
-    d_pair_from_obj,
-    d_pair_to_obj,
-    marked_pair_from_obj,
-    marked_pair_to_obj,
-    marked_triple_from_obj,
-    marked_triple_to_obj,
-    partition_from_obj,
-    path_from_obj,
-    path_to_obj,
-    set_partition_from_obj,
-    set_partition_to_obj,
-    signed_partition_from_obj,
-    signed_partition_to_obj,
-    tableau_from_obj,
-    tableau_to_obj,
-)
+from coxcat.jsonio import partition_from_obj, signed_partition_from_obj, signed_partition_to_obj
 from coxcat.models import MarkedPair, enumerate_family
 from coxcat.render import render_arcs, render_tableau
 
@@ -306,26 +288,10 @@ def test_render_tableau_golden():
 
 
 def test_json_roundtrips_exhaustive_small():
-    for p in enumerate_family("nc_a", 4):
-        assert set_partition_from_obj(set_partition_to_obj(p)) == p
+    # pi_b is not a domain of the map table; test_maps.py::test_json_round_trip covers those
     for p in enumerate_family("pi_b", 3):
         assert signed_partition_from_obj(signed_partition_to_obj(p)) == p
         assert partition_from_obj(signed_partition_to_obj(p)) == p
-    from coxcat.models import marked_pairs, marked_triples
-    from coxcat.encode import b_pairs, d_pairs, lattice_paths
-
-    for m in marked_pairs(4, "nc_nn"):
-        assert marked_pair_from_obj(marked_pair_to_obj(m)) == m
-        t = f_map(m, check=False)
-        assert tableau_from_obj(tableau_to_obj(t)) == t
-    for t in marked_triples(3, "nc_nn_pm"):
-        assert marked_triple_from_obj(marked_triple_to_obj(t)) == t
-    for bp in b_pairs(3):
-        assert b_pair_from_obj(b_pair_to_obj(bp)) == bp
-    for dp in d_pairs(3):
-        assert d_pair_from_obj(d_pair_to_obj(dp)) == dp
-    for path in lattice_paths(3):
-        assert path_from_obj(path_to_obj(path)) == path
 
 
 # One input per map name and the output the CLI prints for it.  Each input

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from conftest import FIG4_SIGMA, FIG5
-from coxcat.core import EMPTY, SetPartition, ValidationError, edges, noncrossing_partitions
+from conftest import CROSSING, FIG4_SIGMA, FIG5, NESTED_MARK, NESTED_TRIPLE, guard_params, raises_guard_text
+from coxcat.core import SetPartition, ValidationError, edges, noncrossing_partitions
 from coxcat.encode import (
     BPair,
     DPair,
@@ -367,37 +367,18 @@ def test_tableau_validate_matches_reference_on_every_filling():
     assert cases == 3 * 2449  # every filling of every shape with n <= 4, three kinds
 
 
-CROSSING = sp([[1, 3], [2, 4]])
-NESTED_MARK = MarkedPair.make(sp([[1, 4], [2, 3]]), [(2, 3)])
-NESTED_TRIPLE = MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1)
-CROSSED = sgn([[1, 3], [-1, -3], [2, -2]])
+# varphi_b and varphi_d are not rows of the map table, so their cases are
+# listed here; the rest are the map-table guard cases of the encode rows under
+# their earlier ids, the same cases as test_maps.py::test_domain_guard.
+GUARDS = [
+    pytest.param(varphi_b, NESTED_MARK, "not a marked noncrossing pair with nonnested marks", id="varphi_b"),
+    pytest.param(varphi_b_inverse, BPair(CROSSING, None), "not a noncrossing partition", id="varphi_b_inverse"),
+    pytest.param(varphi_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks", id="varphi_d"),
+    pytest.param(varphi_d_inverse, DPair(CROSSING, ("int", 2)), "not a noncrossing partition", id="varphi_d_inverse"),
+    *guard_params("psi_b", "psi_d", "kappa", "nc_to_dyck", "g_map", "f_map"),
+]
 
 
-@pytest.mark.parametrize(
-    "fn,arg,message",
-    [
-        (varphi_b, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-        (varphi_b_inverse, BPair(CROSSING, None), "not a noncrossing partition"),
-        (varphi_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
-        (varphi_d_inverse, DPair(CROSSING, ("int", 2)), "not a noncrossing partition"),
-        (psi_b, CROSSED, "not a type-B noncrossing partition"),
-        (psi_b_inverse, BPair(CROSSING, None), "not a noncrossing partition"),
-        (psi_d, CROSSED, "not a type-D noncrossing partition"),
-        (psi_d_inverse, DPair(CROSSING, None), "not a noncrossing partition"),
-        (kappa, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
-        (kappa_inverse, MarkedPair.make(sp([[1], [2]]), [(2,)]), "not a restricted marked noncrossing pair"),
-        (kappa_inverse, MarkedPair.make(EMPTY, ()), "not a restricted marked noncrossing pair"),
-        (nc_to_dyck, CROSSING, "not a noncrossing partition"),
-        (g_map, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-        (f_map, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-        (f_map_inverse, ShiftedTableau.make([1], [2], ()), "not a valid Catalan tableau"),
-    ],
-    ids=[
-        "varphi_b", "varphi_b_inverse", "varphi_d", "varphi_d_inverse", "psi_b", "psi_b_inverse", "psi_d",
-        "psi_d_inverse", "kappa", "kappa_inverse", "kappa_inverse_rank0", "nc_to_dyck", "g_map", "f_map",
-        "f_map_inverse",
-    ],
-)
+@pytest.mark.parametrize("fn,arg,message", GUARDS)
 def test_domain_guard_text(fn, arg, message):
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        fn(arg, check=True)
+    raises_guard_text(fn, arg, message)

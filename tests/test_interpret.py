@@ -1,9 +1,7 @@
-import re
-
 import pytest
 
-from conftest import FIG4, FIG4_SIGMA, FIG5
-from coxcat.core import SetPartition, ValidationError
+from conftest import FIG4, FIG4_SIGMA, FIG5, guard_params, raises_guard_text
+from coxcat.core import SetPartition
 from coxcat.interpret import (
     phi_nc_b,
     phi_nc_b_inverse,
@@ -22,7 +20,7 @@ from coxcat.interpret import (
     type_clause_nn_d,
     unmarked_type,
 )
-from coxcat.models import MarkedPair, MarkedTriple
+from coxcat.models import SIGNED_FAMILIES, MarkedPair
 from coxcat.signed import SignedPartition, signed_type
 
 sp = SetPartition.from_blocks
@@ -118,40 +116,8 @@ def test_phi_nn_d_trivial():
     assert phi_nn_d_inverse(t) == p
 
 
-CROSSED = sgn([[1, 3], [-1, -3], [2, -2]])
-OUTSIDE_ALL = sgn([[1, -2], [-1, 2], [3, -3]])
-NESTED_MARK = MarkedPair.make(sp([[1, 4], [2, 3]]), [(2, 3)])
-ALIGNED_MARK = MarkedPair.make(sp([[1, 2], [3, 4]]), [(1, 2)])
-
-
-@pytest.mark.parametrize(
-    "fn,arg,message",
-    [
-        (phi_nc_b, CROSSED, "not a type-B noncrossing partition"),
-        (phi_nn_b, OUTSIDE_ALL, "not a type-B nonnesting partition"),
-        (phi_nn_c, OUTSIDE_ALL, "not a type-C nonnesting partition"),
-        (phi_nc_d, CROSSED, "not a type-D noncrossing partition"),
-        (phi_nn_d, OUTSIDE_ALL, "not a type-D nonnesting partition"),
-        (phi_nc_b_inverse, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-        (phi_nn_b_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
-        (phi_nn_c_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
-        (
-            phi_nc_d_inverse,
-            MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1),
-            "not a marked noncrossing triple with nonnested marks",
-        ),
-        (
-            phi_nn_d_inverse,
-            MarkedTriple(ALIGNED_MARK.sigma, ALIGNED_MARK.marked, 1),
-            "not a marked nonnesting triple with nonaligned marks",
-        ),
-    ],
-    ids=[
-        "phi_nc_b", "phi_nn_b", "phi_nn_c", "phi_nc_d", "phi_nn_d",
-        "phi_nc_b_inverse", "phi_nn_b_inverse", "phi_nn_c_inverse", "phi_nc_d_inverse", "phi_nn_d_inverse",
-    ],
-)
+# The guard cases of the phi rows under their earlier ids: the same cases as
+# test_maps.py::test_domain_guard, from the one table in conftest.
+@pytest.mark.parametrize("fn,arg,message", guard_params(*(f"phi_{fam}" for fam in SIGNED_FAMILIES)))
 def test_membership_precondition_enforced(fn, arg, message):
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        fn(arg, check=True)
-
+    raises_guard_text(fn, arg, message)

@@ -1,16 +1,20 @@
-"""Every pair of the map table round-trips, with its statistic, at n = 20..60.
+"""The contracts of the map table (coxcat.maps), each tested once over its rows
+or domains: the large-n round trip, the least rank, the domain guard and the
+JSON round trip.
 
 The exhaustive sweeps of the same rows run in coxcat.verify up to each
-check's bound; this test takes them to sizes no enumeration reaches.  The
-maps are called with check=True, so a forward map also confirms that the
-inverse image lies in its source family.
+check's bound; the round-trip test takes them to n = 20..60, sizes no
+enumeration reaches.  The maps are called with check=True, so a forward map
+also confirms that the inverse image lies in its source family.
 """
 
+import json
+
 import pytest
-from conftest import SAMPLED, large_member
+from conftest import SAMPLED, guard_params, large_member, raises_guard_text
 from hypothesis import given, settings, strategies as st
 
-from coxcat import maps
+from coxcat import jsonio, maps
 from coxcat.core import ValidationError
 
 # The domains with no member at rank 0; every other domain has one empty object there.
@@ -44,3 +48,19 @@ def test_domain_rank_contract(domain):
     for row in maps.PAIRS:
         if domain in (row.source, row.target):
             assert len(list(maps.DOMAINS[row.source][1](least))) == len(list(maps.DOMAINS[row.target][1](least)))
+
+
+@pytest.mark.parametrize("call,x,text", guard_params())
+def test_domain_guard(call, x, text):
+    """Every map of the table but g_map_inverse (every path lies in its
+    domain) rejects an object just outside its domain with that domain's text."""
+    raises_guard_text(call, x, text)
+
+
+@pytest.mark.parametrize("domain", maps.DOMAINS)
+def test_json_round_trip(domain):
+    kind, members = maps.DOMAINS[domain]
+    to_obj, from_obj = getattr(jsonio, f"{kind}_to_obj"), getattr(jsonio, f"{kind}_from_obj")
+    for n in range(1 if domain in RANK_ONE else 0, 5):
+        for x in members(n):
+            assert from_obj(json.loads(json.dumps(to_obj(x)))) == x

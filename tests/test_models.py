@@ -31,11 +31,12 @@ def test_membership_worked_examples():
     assert is_member(FIG5, "nc_d")
 
 
-def test_nc_d_zero_block_must_properly_contain_top_pair():
-    p = sgn([[3, -3], [1], [-1], [2], [-2]])
-    assert not is_member(p, "nc_d")
-    q = sgn([[3, -3, 2, -2], [1], [-1]])
-    assert is_member(q, "nc_d")
+@pytest.mark.parametrize("family", ["nc_d", "nn_d"])
+def test_type_d_zero_block_must_properly_contain_top_pair(family):
+    assert not is_member(sgn([[3, -3], [1], [-1], [2], [-2]]), family)  # exactly {n, -n}
+    assert not is_member(sgn([[1, -1, 2, -2], [3], [-3]]), family)  # no +-n
+    assert is_member(sgn([[3, -3, 2, -2], [1], [-1]]), family)
+    assert not is_member(sgn([], 0), family)
 
 
 def test_membership_needs_matching_kind():

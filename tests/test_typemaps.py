@@ -1,14 +1,13 @@
 import itertools
 import random
-import re
 
 import pytest
 
-from conftest import FIG2, FIG4, random_member, random_noncrossing
+from conftest import CROSSING, FIG2, FIG4, guard_params, raises_guard_text, random_member, random_noncrossing
 from coxcat import typemaps
 from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks, slice_partition
 from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
-from coxcat.signed import SignedPartition, signed_type, zero_block_size
+from coxcat.signed import signed_type, zero_block_size
 from coxcat.typemaps import (
     NcDecomposition,
     decompose,
@@ -18,12 +17,10 @@ from coxcat.typemaps import (
     iota_d_inverse,
     is_connected,
     nc_to_nn,
-    nn_to_nc,
     rearrange,
     rho,
     rho_bar,
     rho_bar_inverse,
-    rho_inverse,
     star,
     uplus,
     xi,
@@ -234,32 +231,11 @@ def test_composed_map_type_oracle_fig4():
     assert zero_block_size(q) == 4
 
 
-CROSSED = SignedPartition.from_blocks([[1, 3], [-1, -3], [2, -2]])
-OUTSIDE_ALL_NN = SignedPartition.from_blocks([[1, -2], [-1, 2], [3, -3]])
-
-
-@pytest.mark.parametrize(
-    "name,family,p,message",
-    [
-        pytest.param("nc_to_nn", "B", CROSSED, "not a type-B noncrossing partition", id="nc_to_nn_b"),
-        pytest.param("nc_to_nn", "C", CROSSED, "not a type-B noncrossing partition", id="nc_to_nn_c"),
-        pytest.param("nc_to_nn", "D", CROSSED, "not a type-D noncrossing partition", id="nc_to_nn_d"),
-        pytest.param("nn_to_nc", "B", OUTSIDE_ALL_NN, "not a type-B nonnesting partition", id="nn_to_nc_b"),
-        pytest.param("nn_to_nc", "C", OUTSIDE_ALL_NN, "not a type-C nonnesting partition", id="nn_to_nc_c"),
-        pytest.param("nn_to_nc", "D", OUTSIDE_ALL_NN, "not a type-D nonnesting partition", id="nn_to_nc_d"),
-    ],
-)
-def test_composed_maps_reject_partitions_outside_the_source(name, family, p, message):
-    fn = {"nc_to_nn": nc_to_nn, "nn_to_nc": nn_to_nc}[name]
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        fn(family, p)
-
-
-CROSSING = sp([[1, 3], [2, 4]])
-NESTING = sp([[1, 4], [2, 3]])
-NESTED_MARK = MarkedPair.make(NESTING, [(2, 3)])  # nonaligned, but nested
-ALIGNED_MARK = MarkedPair.make(sp([[1, 2], [3, 4]]), [(1, 2)])  # nonnested, but aligned
-NESTED_TRIPLE = MarkedTriple(NESTED_MARK.sigma, NESTED_MARK.marked, 1)
+# The map-table guard cases of the typemaps rows under their earlier ids: the
+# same cases as test_maps.py::test_domain_guard, from the one table in conftest.
+@pytest.mark.parametrize("fn,arg,message", guard_params(*(f"nc_to_nn_{letter.lower()}" for letter in typemaps.CHAINS)))
+def test_composed_maps_reject_partitions_outside_the_source(fn, arg, message):
+    raises_guard_text(fn, arg, message)
 
 
 def rearrange_fixed(m, check):
@@ -267,24 +243,16 @@ def rearrange_fixed(m, check):
     return rearrange(m, (), check=check)
 
 
+# rearrange is not a row of the map table, so its cases are listed here
 GUARDS = [
-    (rho, CROSSING, "not a noncrossing partition"),
-    (rho_inverse, NESTING, "not a nonnesting partition"),
-    (xi, CROSSING, "not a noncrossing partition"),
-    (rho_bar, ALIGNED_MARK, "not a marked noncrossing pair with nonaligned marks"),
-    (rho_bar_inverse, ALIGNED_MARK, "not a marked nonnesting pair with nonaligned marks"),
-    (xi_bar, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-    (xi_bar_inverse, ALIGNED_MARK, "not a marked noncrossing pair with nonaligned marks"),
-    (iota_b, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-    (iota_b_inverse, NESTED_MARK, "not a marked noncrossing pair with nonnested marks"),
-    (iota_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
-    (iota_d_inverse, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks"),
-    (rearrange_fixed, MarkedPair.make(sp([[1, 3], [2]]), [(2,)]), "not a marked noncrossing pair with nonnested marks"),
-    (rearrange_fixed, MarkedPair.make(CROSSING, []), "not a marked noncrossing pair with nonnested marks"),
+    *guard_params("rho", "xi", "rho_bar", "xi_bar", "iota_b", "iota_d"),
+    pytest.param(rearrange_fixed, MarkedPair.make(sp([[1, 3], [2]]), [(2,)]),
+                 "not a marked noncrossing pair with nonnested marks", id="rearrange_fixed0"),
+    pytest.param(rearrange_fixed, MarkedPair.make(CROSSING, []),
+                 "not a marked noncrossing pair with nonnested marks", id="rearrange_fixed1"),
 ]
 
 
-@pytest.mark.parametrize("fn,arg,message", GUARDS, ids=[fn.__name__ for fn, _, _ in GUARDS])
+@pytest.mark.parametrize("fn,arg,message", GUARDS)
 def test_domain_guard_text(fn, arg, message):
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        fn(arg, check=True)
+    raises_guard_text(fn, arg, message)
