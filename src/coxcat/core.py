@@ -3,6 +3,10 @@
 Partitions are stored in canonical form: each block is an ascending tuple
 and blocks are ordered by their minimum element.  The empty partition
 (n = 0) is a valid value.  Everything here is immutable and pure.
+
+Whether blocks cross or nest in a total order (noncrossing_wrt,
+nonnesting_wrt) is one O(n) scan of the order over an ownership array;
+pattern_free is the quadruple definition they are tested against.
 """
 
 from __future__ import annotations
@@ -203,7 +207,7 @@ def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list
     """Position arcs of the standard representation with respect to the order.
 
     Each position is the left end of at most one arc and the right end of at
-    most one arc, which is what arcs_cross and arcs_nest rely on.
+    most one arc.
     """
     pos = {x: i for i, x in enumerate(order)}
     arcs: list[Edge] = []
@@ -213,50 +217,66 @@ def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list
     return arcs
 
 
-def arcs_cross(arcs: Sequence[Edge]) -> bool:
-    """Some two arcs (a, b), (c, d) satisfy a < c < b < d.
+def _owners_over(blocks, order: Sequence[int]) -> tuple[list, list[int]]:
+    """The blocks, and owner[x], the index of the block holding x, for each value x of order.
 
-    Scans the arcs by left end with a stack of the right ends still open,
-    innermost on top; the arc being added crosses an open one iff the top
-    closes strictly inside it.  O(k log k) for the sort, then O(k).  Left
-    ends must be distinct, as arcs_in_order guarantees: arcs sharing a left
-    end never cross, but this scan would report (1, 3), (1, 5) as crossing.
+    The array spans the values of order, a negative x reading the entry
+    len(owner) + x as Python indexing does.
     """
-    open_rights: list[int] = []
-    for a, b in sorted(arcs):
-        while open_rights and open_rights[-1] <= a:
-            open_rights.pop()
-        if open_rights and open_rights[-1] < b:
-            return True
-        open_rights.append(b)
-    return False
-
-
-def arcs_nest(arcs: Sequence[Edge]) -> bool:
-    """Some two arcs (a, b), (c, d) satisfy a < c < d < b.
-
-    With distinct left ends and distinct right ends, as arcs_in_order
-    guarantees, the arcs nest iff their right ends, read by left end, are
-    not in increasing order.  O(k log k) for the two sorts.
-    """
-    rights = [b for _, b in sorted(arcs)]
-    return rights != sorted(rights)
+    bs = getattr(blocks, "blocks", blocks)
+    owner = [0] * (max(order, default=0) - min(0, min(order, default=0)) + 1)
+    for i, b in enumerate(bs):
+        for x in b:
+            owner[x] = i
+    return bs, owner
 
 
 def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:
-    """Arc test; agrees with the quadruple condition for the crossing pattern.
+    """No two arcs of the standard representation cross; agrees with the quadruple condition.
 
-    O(n log n) for n elements; order must list the ground set of the blocks.
+    One scan of order keeps the open blocks, those with elements both behind
+    and ahead, on a stack in the order they opened.  An element of an open
+    block must belong to the innermost one: else the arc it closes crosses
+    the arc of each open block above it.  O(n) for n elements; order must
+    list the ground set of the blocks.
     """
-    return not arcs_cross(arcs_in_order(_blocks_of(blocks), order))
+    bs, owner = _owners_over(blocks, order)
+    left = [len(b) for b in bs]
+    started = [False] * len(bs)
+    stack: list[int] = []
+    for x in order:
+        i = owner[x]
+        if not started[i]:
+            started[i] = True
+            stack.append(i)
+        elif stack[-1] != i:
+            return False
+        left[i] -= 1
+        if not left[i]:
+            stack.pop()
+    return True
 
 
 def nonnesting_wrt(blocks, order: Sequence[int]) -> bool:
     """No two arcs of the standard representation nest.
 
-    O(n log n) for n elements; order must list the ground set of the blocks.
+    One scan of order reads the arcs by right end, each from the position of
+    the previous element of its block; no two nest iff their left ends
+    increase.  O(n) for n elements; order must list the ground set of the
+    blocks.
     """
-    return not arcs_nest(arcs_in_order(_blocks_of(blocks), order))
+    bs, owner = _owners_over(blocks, order)
+    last = [-1] * len(bs)  # last[i]: the position of block i's latest element so far
+    reach = -1  # the left end of the last arc read
+    for t, x in enumerate(order):
+        i = owner[x]
+        s = last[i]
+        if s >= 0:
+            if s < reach:
+                return False
+            reach = s
+        last[i] = t
+    return True
 
 
 def slice_partition(p: SetPartition, lo: int, hi: int) -> SetPartition:

@@ -123,8 +123,8 @@ def _composed(letter: str, src: str, dst: str) -> MapPair:
         return signed_type(q) == signed_type(p) and zero_block_size(q) == zero_block_size(p)
 
     return MapPair(f"nc_to_nn_{letter.lower()}", f"nn_to_nc_{letter.lower()}", src, dst,
-                   lambda p, check=True: typemaps.nc_to_nn(letter, p),
-                   lambda q, check=True: typemaps.nn_to_nc(letter, q), same_type)
+                   lambda p, check=True: typemaps.nc_to_nn(letter, p, check=check),
+                   lambda q, check=True: typemaps.nn_to_nc(letter, q, check=check), same_type)
 
 
 def _iota_d_keeps(t, q) -> bool:

@@ -2,19 +2,22 @@
 
 Families are named nc_a, nn_a, pi_b, nc_b, nc_d, nn_b, nn_c, nn_d.  A signed
 member of type B or C has a standard representation that avoids the pattern
-in the family's total order (_ORDERS); the D families are decided by the
-round trip through their marked triples.  Signed families are enumerated
-through the inverse bijection of their SIGNED_FAMILIES row; filtering is the
-oracle.
+in the family's total order (_ORDERS), which one O(n) scan of that order
+decides; the D families are decided by the round trip through their marked
+triples.  Signed families are enumerated through the inverse bijection of
+their SIGNED_FAMILIES row; filtering is the oracle.
 
 The unchecked reading of that bijection keeps the positive parts of the blocks
 and marks those that lost negative elements; for D it drops n and records the
 sign of the block absorbing n, or 0 when that block is {n} or the zero block.
 Back, it holds one mark when their number k is odd, or 2 - k mod 2 marks,
 which absorb n, under a nonzero sign, and pairs the rest first-with-last.
+Both ways it trusts its input and builds each object in canonical form, with
+no check.
 
 Every checked map guards its input with require(x, domain, check), for a
-family or a marked class, so each domain has one decision and one error text.
+family or a marked class, so each domain has one decision and one error text;
+with check=False nothing is validated again.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -294,17 +298,31 @@ def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]
     return marked_pairs(n, cls_name)
 
 
-def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, list[Block]]:
-    """Parts of the blocks inside [1, top); mark those properly contained in their block."""
-    blocks: list[Block] = []
+def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, tuple[Block, ...]]:
+    """Parts of the blocks inside [1, top); mark those properly contained in their block.
+
+    Built in canonical form without a check: a block is ascending, so its
+    part is the slice from its first positive element, less top when top is
+    its last, and a block ending below 1 has none.  The parts are sorted by
+    first element, the marks by maximum.
+    """
+    _check_n(top - 1)
+    parts: list[Block] = []
     marked: list[Block] = []
     for b in p.blocks:
-        pos = tuple(x for x in b if 0 < x < top)
-        if pos:
-            blocks.append(pos)
-            if len(pos) < len(b):
-                marked.append(pos)
-    return SetPartition.from_blocks(blocks, top - 1), marked
+        if b[-1] < 0:
+            continue
+        pos = b if b[0] > 0 else b[bisect_left(b, 1):]
+        if pos[-1] == top:
+            pos = pos[:-1]
+            if not pos:
+                continue
+        parts.append(pos)
+        if len(pos) < len(b):
+            marked.append(pos)
+    parts.sort()
+    marked.sort(key=lambda b: b[-1])
+    return SetPartition(top - 1, tuple(parts)), tuple(marked)
 
 
 def _epsilon_of_top_block(bn: Block, n: int) -> int:
@@ -322,10 +340,10 @@ def _read_marked(family: str, p: SignedPartition) -> MarkedPair | MarkedTriple:
     """The forward reading of p, trusting that p is a member of the family."""
     n = p.n
     if SIGNED_FAMILIES[family].marked not in MARKED_TRIPLE_CLASSES:
-        return MarkedPair.make(*_positive_parts(p, n + 1))
+        return MarkedPair(*_positive_parts(p, n + 1))
     bn = p.block_containing(n)
     eps = 0 if bn == (n,) or p.zero_block() is not None else _epsilon_of_top_block(bn, n)
-    return MarkedTriple.make(*_positive_parts(p, n), eps)
+    return MarkedTriple(*_positive_parts(p, n), eps)
 
 
 def held_marks(family: str, m: MarkedPair | MarkedTriple) -> slice:

@@ -2,7 +2,10 @@
 
 The triple decomposition (underlying partition of [n], marked blocks, maximal
 matching) identifies these with triples over ordinary set partitions, which
-drives both enumeration and the Stirling/involution counting formula.
+drives both enumeration and the Stirling/involution counting formula.  One
+block builder, _from_pairs, makes the canonical form directly and trusts its
+input; compose_triple checks its arguments and passes the result through
+SignedPartition.from_blocks, so enumeration stays a checked route.
 """
 
 from __future__ import annotations
@@ -154,24 +157,35 @@ def compose_triple(
     if len(marked) - len(in_pairs) > 1:
         raise ValidationError("matching is not maximal on the marked blocks")
     leftover = marked - set(in_pairs)
-    return _from_pairs(sigma, marked, pairs + [(a, a) for a in leftover], sigma.n)
+    image = _from_pairs(sigma, marked, pairs + [(a, a) for a in leftover], sigma.n)
+    # the checked constructor, so that enumerating signed partitions stays independent of the kernel
+    return SignedPartition.from_blocks(image.blocks, sigma.n)
 
 
 def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -> SignedPartition:
-    """Each pair (A, A') gives A u -A' and its mirror, one zero block when A = A';
-    each block of sigma outside marked gives itself and its mirror.  The blocks
-    go out unsorted: from_blocks puts them in canonical form."""
-    out: list[Block] = []
+    """The signed partition in canonical form, built without a check.
+
+    Each pair (A, A') gives the block sorted(A u -A') and its mirror, one
+    zero block when A = A'; each block b of sigma outside marked gives b and
+    its mirror, b negated and reversed.  Every block comes out ascending, and
+    the blocks are ordered by the place of their least absolute value in 1,
+    -1, 2, -2, ...: 2x for x > 0 and 1 - 2x for x < 0, so a block and its
+    mirror differ in the last bit.  The caller vouches for the pairs and
+    marks; compose_triple is the checked route.
+    """
+    keyed: list[tuple[int, Block]] = []
     for a1, a2 in pairs:
-        mixed = a1 + tuple([-x for x in a2])
-        out.append(mixed)
+        mixed = tuple(sorted(a1 + tuple([-x for x in a2])))
+        key = min([2 * x if x > 0 else 1 - 2 * x for x in mixed])
+        keyed.append((key, mixed))
         if a1 != a2:
-            out.append(tuple([-x for x in mixed]))
+            keyed.append((key ^ 1, tuple([-x for x in reversed(mixed)])))
     for b in sigma.blocks:
         if b not in marked:
-            out.append(b)
-            out.append(tuple([-x for x in b]))
-    return SignedPartition.from_blocks(out, n)
+            keyed.append((2 * b[0], b))
+            keyed.append((2 * b[0] + 1, tuple([-x for x in reversed(b)])))
+    keyed.sort()
+    return SignedPartition(n, tuple([b for _, b in keyed]))
 
 
 def maximal_matchings(items: Iterable[Block]) -> Iterator[tuple[tuple[Block, Block], ...]]:

@@ -281,13 +281,22 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
     maximum per N, innermost first, and k.
     """
     require(p, "nc_a", check)
+    return _xi_special(p)[0]
+
+
+def _xi_special(p: SetPartition) -> tuple[SetPartition, tuple[Block, ...], tuple[Block, ...]]:
+    """xi(p), with p's nonnested and nonaligned blocks, each sorted by maximum.
+
+    The trailing singletons are both nonnested and nonaligned, and their
+    maxima pass the core's, so they follow the core's special blocks.
+    """
     n = p.n
     # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
     k, j = n, len(p.blocks)
     while k >= 1 and p.blocks[j - 1] == (k,):
         k, j = k - 1, j - 1
     if k == 0:
-        return p
+        return p, p.blocks, p.blocks
     core = SetPartition(k, p.blocks[:j])
     blocks, owner = core.blocks, _owners(core)
     top = blocks[owner[k]]
@@ -316,13 +325,15 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
         b = blk[0] - 1
     labels += reversed(maxima)
 
-    if len(maxima) != len(nonnested_blocks(core)) or len(pieces) + 1 != len(nonaligned_blocks(core)):
+    nonnested, nonaligned = nonnested_blocks(core), nonaligned_blocks(core)
+    if len(maxima) != len(nonnested) or len(pieces) + 1 != len(nonaligned):
         raise InternalInvariantError("decomposition depth must match the special block counts")
     # the image partitions [k], so the trailing singletons follow its blocks
-    result = SetPartition(n, _read_image(labels, j) + p.blocks[j:])
+    trailing = p.blocks[j:]
+    result = SetPartition(n, _read_image(labels, j) + trailing)
     if Counter(map(len, result.blocks)) != Counter(map(len, p.blocks)):
         raise InternalInvariantError("block type must be preserved")
-    return result
+    return result, nonnested + trailing, nonaligned + trailing
 
 
 def _xi_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
@@ -330,9 +341,9 @@ def _xi_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
     positions among the nonaligned ones, or back for the inverse.  Both lists
     of special blocks are sorted by maximum, so the marks stay sorted."""
     require(m, "nc_na" if inverse else "nc_nn", check)
-    src, dst = ("nonaligned", "nonnested") if inverse else ("nonnested", "nonaligned")
-    image = xi(m.sigma, check=False)
-    position = {b: i for i, b in enumerate(special_blocks(m.sigma, src))}
+    image, nonnested, nonaligned = _xi_special(m.sigma)
+    src, dst = (nonaligned, "nonnested") if inverse else (nonnested, "nonaligned")
+    position = {b: i for i, b in enumerate(src)}
     moved = special_blocks(image, dst)
     return MarkedPair(image, tuple(moved[position[b]] for b in m.marked))
 
@@ -437,19 +448,19 @@ def _chain(family: str) -> tuple[str, str, bool]:
     return nc, nn, SIGNED_FAMILIES[nc].held != SIGNED_FAMILIES[nn].held
 
 
-def nc_to_nn(family: str, p: SignedPartition) -> SignedPartition:
+def nc_to_nn(family: str, p: SignedPartition, check: bool = True) -> SignedPartition:
     """Type-preserving bijection from the noncrossing to the nonnesting family."""
     nc, nn, moves = _chain(family)
-    m = getattr(interpret, f"phi_{nc}")(p, check=True)
+    m = getattr(interpret, f"phi_{nc}")(p, check=check)
     if moves:
         m = _iota(nc, m, check=False)
     m = _on_pair(lambda pair: rho_bar(xi_bar(pair, check=False), check=False), m)
     return getattr(interpret, f"phi_{nn}_inverse")(m, check=False)
 
 
-def nn_to_nc(family: str, p: SignedPartition) -> SignedPartition:
+def nn_to_nc(family: str, p: SignedPartition, check: bool = True) -> SignedPartition:
     nc, nn, moves = _chain(family)
-    m = getattr(interpret, f"phi_{nn}")(p, check=True)
+    m = getattr(interpret, f"phi_{nn}")(p, check=check)
     m = _on_pair(lambda pair: xi_bar_inverse(rho_bar_inverse(pair, check=False), check=False), m)
     if moves:
         m = _iota(nc, m, check=False, inverse=True)

@@ -9,9 +9,7 @@ from coxcat.core import (
     EMPTY,
     SetPartition,
     ValidationError,
-    arcs_cross,
     arcs_in_order,
-    arcs_nest,
     edges,
     nonaligned_blocks,
     nonnested_blocks,
@@ -186,13 +184,6 @@ def test_crossing_check_under_random_orders(p, rnd):
 # kernels replace.
 
 
-def _arcs_cross_pairwise(arcs):
-    for (a, b), (c, d) in itertools.combinations(arcs, 2):
-        if a < c < b < d or c < a < d < b:
-            return True
-    return False
-
-
 def _arcs_nest_pairwise(arcs):
     for (a, b), (c, d) in itertools.combinations(arcs, 2):
         if a < c < d < b or c < a < b < d:
@@ -214,8 +205,6 @@ def _nonaligned_by_definition(p):
 
 def _assert_arc_tests_agree(blocks, order):
     arcs = arcs_in_order(getattr(blocks, "blocks", blocks), order)
-    assert arcs_cross(arcs) == _arcs_cross_pairwise(arcs)
-    assert arcs_nest(arcs) == _arcs_nest_pairwise(arcs)
     assert noncrossing_wrt(blocks, order) == pattern_free(blocks, order, "crossing")
     assert nonnesting_wrt(blocks, order) == (not _arcs_nest_pairwise(arcs))
 

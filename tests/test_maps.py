@@ -14,7 +14,7 @@ import pytest
 from conftest import SAMPLED, guard_params, large_member, raises_guard_text
 from hypothesis import given, settings, strategies as st
 
-from coxcat import jsonio, maps
+from coxcat import interpret, jsonio, maps, models, typemaps
 from coxcat.core import ValidationError
 
 # The domains with no member at rank 0; every other domain has one empty object there.
@@ -29,6 +29,8 @@ def test_large_round_trip(row, data):
     y = row.forward(x, check=True)
     assert row.inverse(y, check=True) == x
     assert row.keeps(x, y)
+    # the JSON readers build through the checked constructors, which change a non-canonical object
+    assert _through_json(row.source, x) == x and _through_json(row.target, y) == y
     if row.target in SAMPLED:
         y = data.draw(large_member(row.target), label="target")
         x = row.inverse(y, check=True)
@@ -57,10 +59,39 @@ def test_domain_guard(call, x, text):
     raises_guard_text(call, x, text)
 
 
+def _through_json(domain, x):
+    """x written and read back as the JSON of its domain's kind."""
+    kind = maps.DOMAINS[domain][0]
+    to_obj, from_obj = getattr(jsonio, f"{kind}_to_obj"), getattr(jsonio, f"{kind}_from_obj")
+    return from_obj(json.loads(json.dumps(to_obj(x))))
+
+
 @pytest.mark.parametrize("domain", maps.DOMAINS)
 def test_json_round_trip(domain):
-    kind, members = maps.DOMAINS[domain]
-    to_obj, from_obj = getattr(jsonio, f"{kind}_to_obj"), getattr(jsonio, f"{kind}_from_obj")
+    members = maps.DOMAINS[domain][1]
     for n in range(1 if domain in RANK_ONE else 0, 5):
         for x in members(n):
-            assert from_obj(json.loads(json.dumps(to_obj(x)))) == x
+            assert _through_json(domain, x) == x
+
+
+@pytest.mark.parametrize("letter", typemaps.CHAINS)
+def test_composed_rows_forward_check(letter, monkeypatch):
+    """A composed row called with check=False tests no membership; with check=True it does."""
+    row = maps.MAP[f"nc_to_nn_{letter.lower()}"]
+    members = list(maps.DOMAINS[row.source][1](4))
+    calls = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((models, "is_member"), (models, "member_triple"), (interpret, "member_triple")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for x in members:
+        assert row.inverse(row.forward(x, check=False), check=False) == x
+    assert calls == []
+    row.inverse(row.forward(members[-1], check=True), check=True)
+    assert calls

@@ -11,11 +11,14 @@ from coxcat.models import (
     SIGNED_FAMILIES,
     MarkedPair,
     MarkedTriple,
+    _read_marked,
+    _read_signed,
     count_by_type,
     count_family,
     enumerate_family,
     exhaustive_count_by_type,
     is_member,
+    marked_members,
     marked_pairs,
     marked_triples,
     validate_marked,
@@ -77,6 +80,17 @@ def test_enumeration_matches_filter_oracle(family):
     for n in range(least, 7):
         filtered = sorted((p for p in enumerate_signed(n) if is_member(p, family)), key=lambda p: p.blocks)
         assert enumerate_family(family, n) == tuple(filtered)
+
+
+@pytest.mark.parametrize("family", SIGNED_FAMILIES)
+def test_kernel_builds_canonical_objects(family):
+    """The unchecked signed<->marked readings agree with the checked
+    constructors on every marked member of rank <= 7, and read each other back."""
+    for n in range(1 if family in ("nc_d", "nn_d") else 0, 8):
+        for m in marked_members(SIGNED_FAMILIES[family].marked, n):
+            p = _read_signed(family, m)
+            assert p == sgn(p.blocks, p.n)
+            assert _read_marked(family, p) == m
 
 
 def test_validate_marked():
