@@ -217,18 +217,19 @@ def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list
     return arcs
 
 
-def _owners_over(blocks, order: Sequence[int]) -> tuple[list, list[int]]:
-    """The blocks, and owner[x], the index of the block holding x, for each value x of order.
-
-    The array spans the values of order, a negative x reading the entry
-    len(owner) + x as Python indexing does.
-    """
-    bs = getattr(blocks, "blocks", blocks)
-    owner = [0] * (max(order, default=0) - min(0, min(order, default=0)) + 1)
-    for i, b in enumerate(bs):
+def _owners(blocks, size: int) -> list[int]:
+    """owner[x], the index in blocks of the block holding x; a negative x reads entry size + x."""
+    owner = [0] * size
+    for i, b in enumerate(blocks):
         for x in b:
             owner[x] = i
-    return bs, owner
+    return owner
+
+
+def _owners_over(blocks, order: Sequence[int]) -> tuple[list, list[int]]:
+    """The blocks, and their owner array spanning the values of order."""
+    bs = getattr(blocks, "blocks", blocks)
+    return bs, _owners(bs, max(order, default=0) - min(0, min(order, default=0)) + 1)
 
 
 def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:

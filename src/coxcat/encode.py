@@ -33,20 +33,27 @@ XSlot = tuple | None
 
 @dataclass(frozen=True)
 class BPair:
+    """A partition with one of its unsigned slots.  Like ``MarkedPair``'s, the dataclass
+    constructor trusts that x is a slot of sigma; ``make`` and the checked inverses check it."""
+
     sigma: SetPartition
     x: XSlot
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _slot(self.sigma, self.x, signed=False))
+    @classmethod
+    def make(cls, sigma: SetPartition, x) -> "BPair":
+        return cls(sigma, _slot(sigma, x, signed=False))
 
 
 @dataclass(frozen=True)
 class DPair:
+    """A partition with one of its signed slots, under ``BPair``'s contract."""
+
     sigma: SetPartition
     x: XSlot
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _slot(self.sigma, self.x, signed=True))
+    @classmethod
+    def make(cls, sigma: SetPartition, x) -> "DPair":
+        return cls(sigma, _slot(sigma, x, signed=True))
 
 
 def slots(sigma: SetPartition, signed: bool = False) -> list[XSlot]:
@@ -101,9 +108,10 @@ def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
     """
     sigma = bp.sigma
     require(sigma, "nc_a", check)
-    if bp.x is None:
+    x = _slot(sigma, bp.x, signed=False) if check else bp.x
+    if x is None:
         return MarkedPair.make(sigma, ())
-    kind, val = bp.x
+    kind, val = x
     s, t = val if kind == "edge" else (val[0] - 1, val[-1] + 1)
     kept, cut = [], []
     for b in sigma.blocks:
@@ -140,7 +148,7 @@ def varphi_d_inverse(dp: DPair, check: bool = True) -> MarkedTriple:
     for the edge from j to its successor; decode that B slot, then sign it."""
     sigma = dp.sigma
     require(sigma, "nc_a", check)
-    x, eps = dp.x, 0
+    x, eps = (_slot(sigma, dp.x, signed=True) if check else dp.x), 0
     if x is not None and x[0] == "int":
         j, eps = abs(x[1]), (1 if x[1] > 0 else -1)
         blk = sigma.block_containing(j)

@@ -118,13 +118,13 @@ def _pair_from_obj(o: dict, cls: type[BPair] | type[DPair]) -> BPair | DPair:
     _need(o, "sigma", "x")
     sigma, x = set_partition_from_obj(o["sigma"]), o["x"]
     if x is None:
-        return cls(sigma, None)
+        return cls.make(sigma, None)
     if isinstance(x, dict) and "edge" in x:
-        return cls(sigma, ("edge", tuple(_ints(x["edge"], "edge"))))
+        return cls.make(sigma, ("edge", tuple(_ints(x["edge"], "edge"))))
     if isinstance(x, dict) and "block" in x:
-        return cls(sigma, ("block", tuple(sorted(_ints(x["block"], "block")))))
+        return cls.make(sigma, ("block", tuple(sorted(_ints(x["block"], "block")))))
     if isinstance(x, dict) and "int" in x and _is_int(x["int"]):
-        return cls(sigma, ("int", x["int"]))
+        return cls.make(sigma, ("int", x["int"]))
     raise ValidationError(f"bad x slot {x!r}")
 
 

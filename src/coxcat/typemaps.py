@@ -24,6 +24,7 @@ from .core import (
     InternalInvariantError,
     SetPartition,
     ValidationError,
+    _owners,
     _read_off,
     nonaligned_blocks,
     nonnested_blocks,
@@ -251,15 +252,6 @@ def decompose(p: SetPartition, variant: int) -> NcDecomposition:
 # xi: the involution exchanging nonnested and nonaligned blocks
 
 
-def _owners(p: SetPartition) -> list[int]:
-    """owner[x] is the index in p.blocks of the block holding x (owner[0] is unused)."""
-    owner = [0] * (p.n + 1)
-    for i, b in enumerate(p.blocks):
-        for x in b:
-            owner[x] = i
-    return owner
-
-
 def _read_image(labels: list[int], count: int) -> tuple[Block, ...]:
     """The canonical blocks of the partition of [len(labels)] that puts x in block labels[x - 1]."""
     return _read_off([-1, *labels], count, range(1, len(labels) + 1), labels)
@@ -298,7 +290,7 @@ def _xi_special(p: SetPartition) -> tuple[SetPartition, tuple[Block, ...], tuple
     if k == 0:
         return p, p.blocks, p.blocks
     core = SetPartition(k, p.blocks[:j])
-    blocks, owner = core.blocks, _owners(core)
+    blocks, owner = core.blocks, _owners(core.blocks, k + 1)
     top = blocks[owner[k]]
 
     pieces: list[list[int]] = []
@@ -383,7 +375,7 @@ def rearrange(m: MarkedPair, perm: tuple[int, ...], check: bool = True) -> Marke
     order = list(range(len(spans)))
     for t, i in enumerate(marked_idx):
         order[i] = marked_idx[perm[t] - 1]
-    owner = _owners(sigma)
+    owner = _owners(sigma.blocks, sigma.n + 1)
     labels: list[int] = []
     ends = []  # ends[i]: the image's element closing the component at position i
     for i in order:

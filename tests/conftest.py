@@ -35,6 +35,9 @@ CROSSED = SignedPartition.from_blocks([[1, 3], [-1, -3], [2, -2]])  # crossing i
 OUTSIDE_ALL = SignedPartition.from_blocks([[1, -2], [-1, 2], [3, -3]])  # in no nonnesting family
 EMPTY_PAIR = MarkedPair.make(EMPTY, ())  # rank 0, below the least rank of the restricted pairs
 
+# The domains with no member at rank 0; every other domain has one empty object there.
+RANK_ONE = ("nc_d", "nn_d", "nc_nn_pm", "nc_na_pm", "nn_na_pm", "d_pairs", "restricted")
+
 # domain -> (objects just outside it, the one error text of its guard).  Every
 # path lies in "paths", so that domain has no entry.
 OUTSIDE = {
@@ -60,14 +63,12 @@ OUTSIDE = {
 }
 
 
-def guard_params(*names):
-    """pytest params (map, x, text) for the named rows of the map table, or
-    all of them, both ways: each map with each object just outside its input
-    domain and the text its guard must raise, id'd by the map's CLI name."""
+def guard_params():
+    """pytest params (map, x, text) for the rows of the map table, both ways:
+    each map with each object just outside its input domain and the text its
+    guard must raise, id'd by the map's CLI name."""
     seen = set()
     for row in maps.PAIRS:
-        if names and row.name not in names:
-            continue
         for name, call, domain in ((row.name, row.forward, row.source), (row.inverse_name, row.inverse, row.target)):
             if name in seen or domain == "paths":
                 continue

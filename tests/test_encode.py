@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from conftest import CROSSING, FIG4_SIGMA, FIG5, NESTED_MARK, NESTED_TRIPLE, guard_params, raises_guard_text
+from conftest import CROSSING, FIG4_SIGMA, FIG5, NESTED_MARK, NESTED_TRIPLE, raises_guard_text
+from coxcat import encode
 from coxcat.core import SetPartition, ValidationError, edges, noncrossing_partitions
 from coxcat.encode import (
     BPair,
@@ -36,7 +37,7 @@ from coxcat.encode import (
     varphi_d_inverse,
 )
 from coxcat.jsonio import b_pair_from_obj, b_pair_to_obj, d_pair_from_obj, d_pair_to_obj
-from coxcat.models import MarkedPair, MarkedTriple, _pairs, marked_members
+from coxcat.models import MarkedPair, MarkedTriple, _pairs, count_family, marked_members
 from coxcat.signed import SignedPartition
 
 sp = SetPartition.from_blocks
@@ -62,6 +63,8 @@ def test_varphi_b_empty_marks():
 
 
 def test_bpair_validates_slot():
+    """make, and the checked inverses on a hand-built pair, reject a stray slot with one text."""
+    sigma = sp([[1, 2]])
     bad = [
         (BPair, ("edge", (1, 3))),  # not an edge
         (BPair, ("block", (1,))),  # not a block
@@ -74,22 +77,34 @@ def test_bpair_validates_slot():
         (DPair, ("int", 3)),  # out of range
         (DPair, ("int", 0)),
     ]
+    inverse = {BPair: psi_b_inverse, DPair: psi_d_inverse}
     for cls, x in bad:
-        with pytest.raises(ValidationError, match=f"^{re.escape(repr(x))} is not a slot of the partition$"):
-            cls(sp([[1, 2]]), x)
-    DPair(sp([[1, 2]]), ("int", -2))
+        text = f"^{re.escape(repr(x))} is not a slot of the partition$"
+        with pytest.raises(ValidationError, match=text):
+            cls.make(sigma, x)
+        with pytest.raises(ValidationError, match=text):
+            inverse[cls](cls(sigma, x), check=True)
+    DPair.make(sigma, ("int", -2))
     # a value equal to a slot is stored as that slot, so its elements are ints
     for pair, want, to_obj, from_obj in [
-        (DPair(sp([[1, 2]]), ("int", True)), "('int', 1)", d_pair_to_obj, d_pair_from_obj),
-        (BPair(sp([[1, 2]]), ("block", (1.0, 2.0))), "('block', (1, 2))", b_pair_to_obj, b_pair_from_obj),
+        (DPair.make(sigma, ("int", True)), "('int', 1)", d_pair_to_obj, d_pair_from_obj),
+        (BPair.make(sigma, ("block", (1.0, 2.0))), "('block', (1, 2))", b_pair_to_obj, b_pair_from_obj),
     ]:
         assert repr(pair.x) == want
         assert from_obj(json.loads(json.dumps(to_obj(pair)))) == pair
-    sigma = {"n": 2, "blocks": [[1, 2]]}
+    obj = {"n": 2, "blocks": [[1, 2]]}
     with pytest.raises(ValidationError, match=r"^bad x slot \{'int': True\}$"):
-        d_pair_from_obj({"sigma": sigma, "x": {"int": True}})
+        d_pair_from_obj({"sigma": obj, "x": {"int": True}})
     with pytest.raises(ValidationError, match=r"^block must be a list of integers, got \[1\.0, 2\.0\]$"):
-        b_pair_from_obj({"sigma": sigma, "x": {"block": [1.0, 2.0]}})
+        b_pair_from_obj({"sigma": obj, "x": {"block": [1.0, 2.0]}})
+
+
+def test_pair_enumerations_list_each_sigmas_slots_once(monkeypatch):
+    listed = []
+    monkeypatch.setattr(encode, "slots", lambda sigma, signed=False: listed.append(sigma) or slots(sigma, signed))
+    for pairs, sigmas in ((b_pairs(4), noncrossing_partitions(4)), (d_pairs(4), noncrossing_partitions(3))):
+        listed.clear()
+        assert list(pairs) and listed == list(sigmas)
 
 
 def test_slots_order_and_counts():
@@ -293,8 +308,10 @@ def test_tableau_structure_validation():
 
 
 def test_catalan_tableaux_counts():
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert sum(1 for _ in catalan_tableaux(n, "CT_B")) == math.comb(2 * n, n)
+        # f_map sends the restricted pairs, which kappa counts as the type-D family, onto CT_D
+        assert sum(1 for _ in catalan_tableaux(n, "CT_D")) == count_family("nc_d", n)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +384,12 @@ def test_tableau_validate_matches_reference_on_every_filling():
     assert cases == 3 * 2449  # every filling of every shape with n <= 4, three kinds
 
 
-# varphi_b and varphi_d are not rows of the map table, so their cases are
-# listed here; the rest are the map-table guard cases of the encode rows under
-# their earlier ids, the same cases as test_maps.py::test_domain_guard.
+# varphi_b and varphi_d are not rows of the map table, so test_maps.py::test_domain_guard does not reach them
 GUARDS = [
     pytest.param(varphi_b, NESTED_MARK, "not a marked noncrossing pair with nonnested marks", id="varphi_b"),
     pytest.param(varphi_b_inverse, BPair(CROSSING, None), "not a noncrossing partition", id="varphi_b_inverse"),
     pytest.param(varphi_d, NESTED_TRIPLE, "not a marked noncrossing triple with nonnested marks", id="varphi_d"),
     pytest.param(varphi_d_inverse, DPair(CROSSING, ("int", 2)), "not a noncrossing partition", id="varphi_d_inverse"),
-    *guard_params("psi_b", "psi_d", "kappa", "nc_to_dyck", "g_map", "f_map"),
 ]
 
 

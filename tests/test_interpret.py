@@ -1,6 +1,4 @@
-import pytest
-
-from conftest import FIG4, FIG4_SIGMA, FIG5, guard_params, raises_guard_text
+from conftest import FIG4, FIG4_SIGMA, FIG5
 from coxcat.core import SetPartition
 from coxcat.interpret import (
     phi_nc_b,
@@ -20,7 +18,7 @@ from coxcat.interpret import (
     type_clause_nn_d,
     unmarked_type,
 )
-from coxcat.models import SIGNED_FAMILIES, MarkedPair
+from coxcat.models import MarkedPair
 from coxcat.signed import SignedPartition, signed_type
 
 sp = SetPartition.from_blocks
@@ -114,10 +112,3 @@ def test_phi_nn_d_trivial():
     t = phi_nn_d(p)
     assert (t.sigma, t.marked, t.epsilon) == (sp([[1, 2]]), (), 0)
     assert phi_nn_d_inverse(t) == p
-
-
-# The guard cases of the phi rows under their earlier ids: the same cases as
-# test_maps.py::test_domain_guard, from the one table in conftest.
-@pytest.mark.parametrize("fn,arg,message", guard_params(*(f"phi_{fam}" for fam in SIGNED_FAMILIES)))
-def test_membership_precondition_enforced(fn, arg, message):
-    raises_guard_text(fn, arg, message)

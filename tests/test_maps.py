@@ -11,14 +11,11 @@ also confirms that the inverse image lies in its source family.
 import json
 
 import pytest
-from conftest import SAMPLED, guard_params, large_member, raises_guard_text
+from conftest import RANK_ONE, SAMPLED, guard_params, large_member, raises_guard_text
 from hypothesis import given, settings, strategies as st
 
 from coxcat import interpret, jsonio, maps, models, typemaps
 from coxcat.core import ValidationError
-
-# The domains with no member at rank 0; every other domain has one empty object there.
-RANK_ONE = ("nc_d", "nn_d", "nc_nn_pm", "nc_na_pm", "nn_na_pm", "d_pairs", "restricted")
 
 
 @pytest.mark.parametrize("row", maps.PAIRS, ids=lambda row: row.name)

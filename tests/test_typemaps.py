@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import CROSSING, FIG2, FIG4, guard_params, raises_guard_text, random_member, random_noncrossing
+from conftest import CROSSING, FIG2, FIG4, raises_guard_text, random_member, random_noncrossing
 from coxcat import typemaps
 from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks, slice_partition
 from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
@@ -111,9 +111,9 @@ def test_xi_worked_example_n27():
 
 
 def test_xi_agrees_with_the_decomposition_route_on_every_small_partition():
-    for n in range(11):
-        for p in noncrossing_partitions(n):
-            assert xi(p, check=False) == xi_by_decomposition(p)
+    # verify's xi check compares the two routes up to its bound of 9
+    for p in noncrossing_partitions(10):
+        assert xi(p, check=False) == xi_by_decomposition(p)
 
 
 def test_xi_agrees_with_the_decomposition_route_at_large_n():
@@ -231,21 +231,13 @@ def test_composed_map_type_oracle_fig4():
     assert zero_block_size(q) == 4
 
 
-# The map-table guard cases of the typemaps rows under their earlier ids: the
-# same cases as test_maps.py::test_domain_guard, from the one table in conftest.
-@pytest.mark.parametrize("fn,arg,message", guard_params(*(f"nc_to_nn_{letter.lower()}" for letter in typemaps.CHAINS)))
-def test_composed_maps_reject_partitions_outside_the_source(fn, arg, message):
-    raises_guard_text(fn, arg, message)
-
-
 def rearrange_fixed(m, check):
     """rearrange with the empty permutation, the one its bad inputs below were accepted with."""
     return rearrange(m, (), check=check)
 
 
-# rearrange is not a row of the map table, so its cases are listed here
+# rearrange is not a row of the map table, so test_maps.py::test_domain_guard does not reach it
 GUARDS = [
-    *guard_params("rho", "xi", "rho_bar", "xi_bar", "iota_b", "iota_d"),
     pytest.param(rearrange_fixed, MarkedPair.make(sp([[1, 3], [2]]), [(2,)]),
                  "not a marked noncrossing pair with nonnested marks", id="rearrange_fixed0"),
     pytest.param(rearrange_fixed, MarkedPair.make(CROSSING, []),
