@@ -4,6 +4,8 @@ psi_b sends type-B noncrossing partitions to pairs (partition, x) where x is
 nothing, an edge or a block; psi_d adds signed integers as a fourth kind.
 Marked pairs also encode as lattice paths (reflecting the subpaths of marked
 blocks below the diagonal) and as 0/1-fillings of shifted Ferrers diagrams.
+Each map builds its result in canonical form with the trusted dataclass
+constructors; the checked ``make`` classmethods are for the JSON readers.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ def varphi_b(m: MarkedPair, check: bool = True) -> BPair:
     marked = set(m.marked)
     pairs = _pairs("nc_b", m)
     blocks = [b for b in m.sigma.blocks if b not in marked]
-    blocks += [tuple(sorted(set(a1 + a2))) for a1, a2 in pairs]
-    sigma = SetPartition.from_blocks(blocks, m.sigma.n)
+    blocks += [a1 if a1 == a2 else tuple(sorted(a1 + a2)) for a1, a2 in pairs]
+    sigma = SetPartition(m.sigma.n, tuple(sorted(blocks)))
     if not pairs:
         return BPair(sigma, None)
     a1, a2 = pairs[-1]
@@ -110,7 +112,7 @@ def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
     require(sigma, "nc_a", check)
     x = _slot(sigma, bp.x, signed=False) if check else bp.x
     if x is None:
-        return MarkedPair.make(sigma, ())
+        return MarkedPair(sigma, ())
     kind, val = x
     s, t = val if kind == "edge" else (val[0] - 1, val[-1] + 1)
     kept, cut = [], []
@@ -120,8 +122,8 @@ def varphi_b_inverse(bp: BPair, check: bool = True) -> MarkedPair:
             cut += (b[:k], b[k:])
         else:
             kept.append(b)
-    marked = cut + [val] if kind == "block" else cut
-    return MarkedPair.make(SetPartition(sigma.n, tuple(sorted(kept + cut))), marked)
+    marked = sorted(cut + [val] if kind == "block" else cut, key=lambda b: b[-1])
+    return MarkedPair(SetPartition(sigma.n, tuple(sorted(kept + cut))), tuple(marked))
 
 
 def psi_b(p: SignedPartition, check: bool = True) -> BPair:
@@ -205,12 +207,10 @@ def kappa(t: MarkedTriple, check: bool = True) -> MarkedPair:
         return MarkedPair(sigma, t.marked)
     last = t.marked[-1]
     grown = last + (n,)
-    blocks = tuple(sorted(grown if b == last else b for b in t.sigma.blocks))
-    sigma = SetPartition(n, blocks)
-    marked = tuple(grown if b == last else b for b in t.marked)
-    if t.epsilon == -1:
-        marked = marked[:-1]
-    return MarkedPair.make(sigma, marked)
+    # grown keeps the minimum of last, and its maximum n keeps it the last mark
+    sigma = SetPartition(n, tuple(grown if b == last else b for b in t.sigma.blocks))
+    marked = t.marked[:-1] if t.epsilon == -1 else t.marked[:-1] + (grown,)
+    return MarkedPair(sigma, marked)
 
 
 def kappa_inverse(m: MarkedPair, check: bool = True) -> MarkedTriple:
@@ -221,12 +221,11 @@ def kappa_inverse(m: MarkedPair, check: bool = True) -> MarkedTriple:
     if top == (n,):
         sigma = SetPartition(n - 1, tuple(b for b in m.sigma.blocks if b != top))
         return MarkedTriple(sigma, m.marked, 0)
+    # shrunk keeps the minimum of top, and stays the last mark: a mark ending above it would nest under top
     shrunk = top[:-1]
-    sigma = SetPartition(n - 1, tuple(sorted(shrunk if b == top else b for b in m.sigma.blocks)))
-    if top in m.marked:
-        marked = tuple(shrunk if b == top else b for b in m.marked)
-        return MarkedTriple.make(sigma, marked, 1)
-    return MarkedTriple.make(sigma, m.marked + (shrunk,), -1)
+    sigma = SetPartition(n - 1, tuple(shrunk if b == top else b for b in m.sigma.blocks))
+    marked = tuple(b for b in m.marked if b != top) + (shrunk,)
+    return MarkedTriple(sigma, marked, 1 if top in m.marked else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +234,18 @@ def kappa_inverse(m: MarkedPair, check: bool = True) -> MarkedTriple:
 
 @dataclass(frozen=True)
 class LatticePath:
-    """A word over {N, E} with equally many of each letter."""
+    """A word over {N, E} with equally many of each letter.  The dataclass
+    constructor trusts the word; ``make`` checks it for the JSON reader."""
 
     steps: str
 
-    def __post_init__(self):
-        if set(self.steps) - {"N", "E"}:
+    @classmethod
+    def make(cls, steps: str) -> "LatticePath":
+        if set(steps) - {"N", "E"}:
             raise ValidationError("steps must be N or E")
-        if self.steps.count("N") != self.steps.count("E"):
+        if steps.count("N") != steps.count("E"):
             raise ValidationError("need equally many N and E steps")
+        return cls(steps)
 
     @property
     def n(self) -> int:
@@ -352,7 +354,8 @@ def g_map_inverse(path: LatticePath) -> MarkedPair:
         if blk[0] != a // 2 + 1 or blk[-1] != b // 2:
             raise InternalInvariantError("excursion does not span a block")
         marked.append(blk)
-    return MarkedPair.make(sigma, marked)
+    # the excursions are disjoint and found left to right, so their blocks come sorted by maximum
+    return MarkedPair(sigma, tuple(marked))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +369,10 @@ class ShiftedTableau:
     south and east split [n] by the border steps.  Cell (i, j) with i > 0
     exists when i < j; row -i is the added row whose diagonal sits in column
     i, with cells (-i, j) for east labels j >= i.  ones lists filled cells.
+
+    The dataclass constructor trusts that south and east are ascending and
+    split [n], and that ones is a frozenset of cells of the diagram; ``make``
+    is the checked, canonicalising constructor the JSON reader uses.
     """
 
     n: int
@@ -374,11 +381,9 @@ class ShiftedTableau:
     ones: frozenset[tuple[int, int]]
 
     @classmethod
-    def make(cls, south, east, ones, n: int | None = None) -> "ShiftedTableau":
-        south = tuple(sorted(south))
-        east = tuple(sorted(east))
-        if n is None:
-            n = len(south) + len(east)
+    def make(cls, south, east, ones) -> "ShiftedTableau":
+        south, east = tuple(sorted(south)), tuple(sorted(east))
+        n = len(south) + len(east)
         if sorted(south + east) != list(range(1, n + 1)):
             raise ValidationError("south and east labels must split 1..n")
         t = cls(n, south, east, frozenset((int(r), int(c)) for r, c in ones))
@@ -408,17 +413,14 @@ class ShiftedTableau:
         """Column labels from left to right."""
         return sorted(self.east, reverse=True)
 
-    def row_cells(self, r: int) -> list[int]:
-        return [c for c in self.columns() if self.cell_exists(r, c)]
-
 
 def f_map(m: MarkedPair, check: bool = True) -> ShiftedTableau:
     """South steps at minima of unmarked blocks; marked blocks fill added rows."""
     require(m, "nc_nn", check)
     n = m.sigma.n
     marked = set(m.marked)
-    south = [b[0] for b in m.sigma.blocks if b not in marked]
-    east = sorted(set(range(1, n + 1)) - set(south))
+    south = tuple(b[0] for b in m.sigma.blocks if b not in marked)
+    east = tuple(sorted(set(range(1, n + 1)) - set(south)))
     ones = set()
     for b in m.sigma.blocks:
         i = b[0]
@@ -427,7 +429,7 @@ def f_map(m: MarkedPair, check: bool = True) -> ShiftedTableau:
             ones.update((-i, j) for j in b[1:])
         else:
             ones.update((i, j) for j in b[1:])
-    return ShiftedTableau.make(south, east, ones, n)
+    return ShiftedTableau(n, south, east, frozenset(ones))
 
 
 def f_map_inverse(t: ShiftedTableau, check: bool = True) -> MarkedPair:
@@ -449,9 +451,10 @@ def f_map_inverse(t: ShiftedTableau, check: bool = True) -> MarkedPair:
     for v in range(1, t.n + 1):
         least[v] = least.get(joins[v], joins[v]) if v in joins else v
         blocks.setdefault(least[v], []).append(v)
-    sigma = SetPartition.from_blocks(blocks.values(), t.n)
-    marked = [b for b in sigma.blocks if b[0] in diag_marked]
-    return MarkedPair.make(sigma, marked)
+    # each element joins a block of a smaller one, so the blocks come ascending and ordered by minimum;
+    # nonnested blocks ordered by minimum are ordered by maximum too
+    sigma = SetPartition(t.n, tuple(map(tuple, blocks.values())))
+    return MarkedPair(sigma, tuple(b for b in sigma.blocks if b[0] in diag_marked))
 
 
 def tableau_validate(t: ShiftedTableau, kind: str) -> bool:
@@ -499,14 +502,11 @@ def catalan_tableaux(n: int, kind: str = "CT_B") -> Iterator[ShiftedTableau]:
     for r in range(n + 1):
         for south in itertools.combinations(range(1, n + 1), r):
             east = tuple(sorted(set(range(1, n + 1)) - set(south)))
-            shell = ShiftedTableau.make(south, east, ())
-            cols = shell.columns()
-            per_column = []
-            for c in cols:
-                per_column.append([(rr, c) for rr in shell.rows() if shell.cell_exists(rr, c)])
-            if any(not cells for cells in per_column):
+            shell = ShiftedTableau(n, south, east, frozenset())
+            per_column = [[(rr, c) for rr in shell.rows() if shell.cell_exists(rr, c)] for c in shell.columns()]
+            if not all(per_column):
                 continue
             for choice in itertools.product(*per_column):
-                t = ShiftedTableau.make(south, east, choice)
+                t = ShiftedTableau(n, south, east, frozenset(choice))
                 if tableau_validate(t, kind):
                     yield t

@@ -64,7 +64,7 @@ def path_from_obj(o: dict) -> LatticePath:
     _need(o, "steps")
     if not isinstance(o["steps"], str):
         raise ValidationError("steps must be a string of N and E")
-    return LatticePath(o["steps"])
+    return LatticePath.make(o["steps"])
 
 
 def tableau_to_obj(t: ShiftedTableau) -> dict:

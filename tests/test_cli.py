@@ -153,6 +153,18 @@ def test_kappa_inverse_rejects_the_rank_0_pair(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: not a restricted marked noncrossing pair\n")
 
 
+# the maps build paths and tableaux with the trusted constructors, so these reader texts are the only check
+@pytest.mark.parametrize("name,stdin,message", [
+    ("g_map_inverse", '{"steps": "NX"}', "steps must be N or E"),
+    ("g_map_inverse", '{"steps": "NNE"}', "need equally many N and E steps"),
+    ("f_map_inverse", '{"south": [1], "east": [2], "ones": [[2, 1]]}', "cell (2,1) is not in the diagram"),
+    ("f_map_inverse", '{"south": [1, 2], "east": [2], "ones": []}', "south and east labels must split 1..n"),
+])
+def test_map_reader_error_text(capsys, monkeypatch, name, stdin, message):
+    code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin, monkeypatch)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("name,epsilon", [("xi_bar", None), ("phi_nc_b_inverse", None), ("phi_nc_d_inverse", 1)])
 def test_map_empty_marked_block_exits_without_traceback(name, epsilon):
     obj = {"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}

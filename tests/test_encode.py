@@ -246,9 +246,9 @@ def test_dyck_examples():
 
 def test_lattice_path_validation():
     with pytest.raises(ValidationError):
-        LatticePath("NEX")
+        LatticePath.make("NEX")
     with pytest.raises(ValidationError):
-        LatticePath("NNE")
+        LatticePath.make("NNE")
     assert LatticePath("NE").n == 1
     assert is_dyck(LatticePath("NENE"))
     assert not is_dyck(LatticePath("ENNE"))
@@ -368,12 +368,14 @@ def test_tableau_validate_matches_reference_on_every_filling():
             for south in itertools.combinations(range(1, n + 1), r):
                 east = sorted(set(range(1, n + 1)) - set(south))
                 shell = ShiftedTableau.make(south, east, ())
-                cells = [(rr, c) for rr in shell.rows() for c in shell.row_cells(rr)]
+                cells = []
                 for rr in shell.rows():  # the one-pass scan reads each row as a prefix of the columns
-                    assert shell.row_cells(rr) == shell.columns()[: len(shell.row_cells(rr))]
+                    row = [c for c in shell.columns() if shell.cell_exists(rr, c)]
+                    assert row == shell.columns()[: len(row)]
+                    cells += [(rr, c) for c in row]
                 for bits in itertools.product((False, True), repeat=len(cells)):
                     ones = frozenset(cell for cell, on in zip(cells, bits) if on)
-                    t = ShiftedTableau.make(south, east, ones, n)
+                    t = ShiftedTableau.make(south, east, ones)
                     # entries outside the diagram are ignored, as before
                     stray = ShiftedTableau(n, t.south, t.east, ones | {(0, 0), (n + 1, n + 2)})
                     for kind in ("PT_B", "CT_B", "CT_D"):

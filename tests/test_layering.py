@@ -3,6 +3,10 @@
 models holds the unchecked reading of each signed family as its marked class
 and back, so it decides type-D membership and enumerates every signed family
 without interpret, whose checked maps are built on it.
+
+Values are checked at the edge only: a dataclass constructor trusts its
+fields, the classmethod make or from_blocks checks them, and only the JSON
+readers and signed's triple route call that classmethod.
 """
 
 import ast
@@ -60,3 +64,33 @@ def test_type_d_membership_and_enumeration_do_not_load_interpret():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# The callers of the checked constructors, as module[.class].function.
+CHECKED_CONSTRUCTOR_CALLERS = {
+    *(
+        f"jsonio.{kind}_from_obj"
+        for kind in ("set_partition", "signed_partition", "marked_pair", "marked_triple", "path", "tableau", "_pair")
+    ),
+    "models.MarkedTriple.make",  # checks the pair through MarkedPair.make
+    "signed.compose_triple",
+    "signed.decompose_triple",
+}
+
+
+def _checked_constructor_callers(node: ast.AST, scope: str):
+    """The scopes under node that call a method named make or from_blocks."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in ("make", "from_blocks"):
+            yield scope
+        yield from _checked_constructor_callers(child, inner)
+
+
+def test_only_the_json_readers_and_the_triple_route_call_the_checked_constructors():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_checked_constructor_callers(_tree(path), path.stem))
+    assert found == CHECKED_CONSTRUCTOR_CALLERS
