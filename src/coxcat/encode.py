@@ -504,8 +504,6 @@ def catalan_tableaux(n: int, kind: str = "CT_B") -> Iterator[ShiftedTableau]:
             east = tuple(sorted(set(range(1, n + 1)) - set(south)))
             shell = ShiftedTableau(n, south, east, frozenset())
             per_column = [[(rr, c) for rr in shell.rows() if shell.cell_exists(rr, c)] for c in shell.columns()]
-            if not all(per_column):
-                continue
             for choice in itertools.product(*per_column):
                 t = ShiftedTableau(n, south, east, frozenset(choice))
                 if tableau_validate(t, kind):

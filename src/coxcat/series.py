@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ValidationError, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
+from .core import InternalInvariantError, ValidationError, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
 
 Poly = dict[tuple[int, int], Fraction]
 
@@ -167,7 +167,7 @@ def _assert_polynomial(f: Series) -> Series:
     for p in f.coeffs:
         for v in p.values():
             if v.denominator != 1:
-                raise ValidationError("coefficients did not normalize to integer polynomials")
+                raise InternalInvariantError("coefficients did not normalize to integer polynomials")
     return f
 
 

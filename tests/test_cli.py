@@ -1,30 +1,32 @@
+import io
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import coxcat
 from conftest import FIG2
-from coxcat import verify
+from coxcat import series as series_mod, verify
 from coxcat.cli import MAPS, main
-from coxcat.core import SetPartition, ValidationError
-from coxcat.encode import f_map
+from coxcat.core import ValidationError
 from coxcat.jsonio import partition_from_obj, signed_partition_from_obj, signed_partition_to_obj
-from coxcat.models import MarkedPair, enumerate_family
-from coxcat.render import render_arcs, render_tableau
-
-sp = SetPartition.from_blocks
+from coxcat.maps import MAP
+from coxcat.models import enumerate_family
+from coxcat.render import render_arcs
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io, sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as e:  # argparse ends a usage error inside parse_args
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -41,139 +43,113 @@ def test_enumerate_lists_json(capsys):
     assert lines[0] == {"n": 3, "blocks": [[1], [2], [3]]}
 
 
-def test_map_rho(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        capsys,
-        ["map", "--name", "rho", "--input", "-"],
-        stdin='{"n":4,"blocks":[[1,4],[2,3]]}',
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    assert json.loads(out) == {"n": 4, "blocks": [[1, 3], [2, 4]]}
+# The CLI's failure contract, one row per case: (command line, stdin, the
+# one line it prints on stderr).  Each exits 1 with empty stdout.  A line that
+# ends in ": " is a prefix, used where json, argparse or the OS word the rest.
+# The unreadable-input rows name paths relative to this directory.  The rows
+# with an n below a family's least rank come first, in their own list.
+OUT_OF_DOMAIN_N = [
+    ("count --family nc_b --n -1", "", "error: n must be >= 0"),
+    ("count --family nc_a --n -1", "", "error: n must be >= 0"),
+    ("count --family nc_d --n 0", "", "error: n must be >= 1"),
+    ("count --family nn_d --n 0", "", "error: n must be >= 1"),
+    ("enumerate --family nc_b --n -2", "", "error: n must be >= 0"),
+    ("enumerate --family pi_b --n -1", "", "error: n must be >= 0"),
+    ("enumerate --family nc_a --n -1 --count-only", "", "error: n must be >= 0"),
+    ("enumerate --family nc_d --n 0", "", "error: n must be >= 1"),
+    ("enumerate --family nn_d --n 0 --count-only", "", "error: n must be >= 1"),
+    ("count --family nc_d --n 0 --type ''", "", "error: n must be >= 1"),
+    ("count --family nc_a --n -1 --type ''", "", "error: n must be >= 0"),
+]
+
+BAD_INPUT = [
+    # usage errors, from argparse
+    ("count --family nc_a --n abc", "", "error: argument --n: invalid int value: 'abc'"),
+    ("verify --suite nope", "", "error: argument --suite: invalid choice: "),
+    ("count --family nc_a --n 3 --type -1,4", "", "error: argument --type: expected one argument"),
+    ("count --n 3", "", "error: the following arguments are required: --family"),
+    # count --type
+    ("count --family nc_b --n 3 --type 2,x", "", "error: --type must be comma-separated integers, not '2,x'"),
+    ("count --family nn_b --n 3 --type 1", "", "error: type counting applies to nc_a, nc_b and nc_d"),
+    # verify's bounds, checked before any check runs
+    ("verify --max-n 1 --max-n 0", "", "error: max_n must be >= 1"),
+    ("verify --max-n 1 --max-n -2 --suite core", "", "error: max_n must be >= 1"),
+    ("verify --max-n 1 --jobs 0", "", "error: jobs must be >= 1"),
+    ("verify --max-n 1 --jobs -3", "", "error: jobs must be >= 1"),
+    # input that cannot be read, or is not JSON
+    ("map --name rho --input absent.json", "", "error: cannot read absent.json: "),
+    ("map --name rho --input .", "", "error: cannot read .: "),
+    ("render --mode arcs --input absent.json", "", "error: cannot read absent.json: "),
+    ("render --mode arcs --input .", "", "error: cannot read .: "),
+    ("map --name xi --input -", "{", "error: bad JSON input: "),
+    # JSON of the wrong shape or type
+    ("map --name rho --input -", "[]", "error: expected a JSON object"),
+    ("map --name rho --input -", "{}", "error: missing key 'blocks'"),
+    ("map --name rho --input -", '{"blocks": 5}', "error: blocks must be a list of lists of integers, got 5"),
+    ("map --name rho --input -", '{"blocks": [[1, "a"]]}', "error: each of blocks must be a list of integers, got [1, 'a']"),
+    ("map --name rho --input -", '{"blocks": [[true]]}', "error: each of blocks must be a list of integers, got [True]"),
+    ("map --name rho --input -", '{"blocks": [1, 2]}', "error: each of blocks must be a list of integers, got 1"),
+    ("map --name rho --input -", '{"n": "2", "blocks": [[1], [2]]}', "error: n must be an integer, got '2'"),
+    ("map --name phi_nc_b --input -", '{"blocks": [[1, -1.0]]}',
+     "error: each of blocks must be a list of integers, got [1, -1.0]"),
+    ("map --name phi_nc_b_inverse --input -", '{"sigma": {"blocks": [[1]]}, "marked": [[1, "a"]]}',
+     "error: each of marked must be a list of integers, got [1, 'a']"),
+    ("map --name phi_nc_d_inverse --input -", '{"sigma": {"blocks": [[1]]}, "marked": [[1]], "epsilon": true}',
+     "error: epsilon must be -1, 0 or 1"),
+    ("map --name nc_to_dyck_inverse --input -", '{"steps": 5}', "error: steps must be a string of N and E"),
+    ("map --name nc_to_dyck_inverse --input -", '{"steps": ["N", "E"]}', "error: steps must be a string of N and E"),
+    ("map --name psi_d_inverse --input -", '{"sigma": {"blocks": [[1, 2]]}, "x": {"int": "1"}}',
+     "error: bad x slot {'int': '1'}"),
+    ("map --name psi_b_inverse --input -", '{"sigma": {"blocks": [[1, 2]]}, "x": "edge"}', "error: bad x slot 'edge'"),
+    ("map --name f_map_inverse --input -", '{"south": [1], "east": ["2"], "ones": []}',
+     "error: east must be a list of integers, got ['2']"),
+    ("map --name f_map_inverse --input -", '{"south":[1],"east":[2],"ones":[[1,2,3]]}',
+     "error: each of ones must be a [row, column] pair"),
+    # a negative n in JSON
+    ("map --name xi --input -", '{"n": -1, "blocks": []}', "error: n must be >= 0"),
+    ("map --name xi --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
+    ("map --name rho --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
+    ("map --name phi_nc_b --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
+    ("map --name nc_to_nn_b --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
+    # the readers' own checks: the maps build paths, tableaux and pairs with the
+    # trusted constructors, so these texts are the only check
+    ("map --name g_map_inverse --input -", '{"steps": "NX"}', "error: steps must be N or E"),
+    ("map --name g_map_inverse --input -", '{"steps": "NNE"}', "error: need equally many N and E steps"),
+    ("map --name f_map_inverse --input -", '{"south": [1], "east": [2], "ones": [[2, 1]]}',
+     "error: cell (2,1) is not in the diagram"),
+    ("map --name f_map_inverse --input -", '{"south": [1, 2], "east": [2], "ones": []}',
+     "error: south and east labels must split 1..n"),
+    ("map --name xi_bar --input -", '{"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}',
+     "error: marked blocks must be distinct blocks of the partition"),
+    ("map --name phi_nc_b_inverse --input -", '{"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}',
+     "error: marked blocks must be distinct blocks of the partition"),
+    ("map --name phi_nc_d_inverse --input -", '{"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]], "epsilon": 1}',
+     "error: marked blocks must be distinct blocks of the partition"),
+    ("map --name psi_b_inverse --input -", '{"sigma": {"n": 2, "blocks": [[1, 2]]}, "x": {"edge": [1, 3]}}',
+     "error: ('edge', (1, 3)) is not a slot of the partition"),
+    ("map --name psi_d_inverse --input -", '{"sigma": {"n": 1, "blocks": [[1]]}, "x": {"int": 3}}',
+     "error: ('int', 3) is not a slot of the partition"),
+    # outside a map's domain (tests/test_maps.py::test_domain_guard pins every guard's text)
+    ("map --name rho --input -", '{"n":4,"blocks":[[1,3],[2,4]]}', "error: not a noncrossing partition"),
+    ("map --name kappa_inverse --input -", '{"sigma": {"n": 0, "blocks": []}, "marked": []}',
+     "error: not a restricted marked noncrossing pair"),
+    ("map --name nc_to_dyck_inverse --input -", '{"steps": "ENNE"}', "error: not a Dyck path"),
+]
 
 
-def test_map_validation_error_exit_code(capsys, monkeypatch):
-    code, _, err = run_cli(
-        capsys,
-        ["map", "--name", "rho", "--input", "-"],
-        stdin='{"n":4,"blocks":[[1,3],[2,4]]}',
-        monkeypatch=monkeypatch,
-    )
-    assert code == 1 and "error" in err
+@pytest.mark.parametrize("command,stdin,line", BAD_INPUT,
+                         ids=[c + (f" < {s}" if s else "") for c, s, _ in BAD_INPUT])
+def test_bad_input(capsys, monkeypatch, command, stdin, line):
+    monkeypatch.chdir(os.path.dirname(__file__))
+    code, out, err = run_cli(capsys, shlex.split(command), stdin, monkeypatch)
+    # one line: an uncaught exception would escape main, and a traceback spans lines
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.endswith("\n")
+    assert err.startswith(line) if line.endswith(": ") else err == line + "\n"
 
 
-def test_map_bad_json(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, ["map", "--name", "xi", "--input", "-"], stdin="{", monkeypatch=monkeypatch)
-    assert code == 1 and "JSON" in err
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["count", "--family", "nc_b", "--n", "-1"],
-        ["count", "--family", "nc_a", "--n", "-1"],
-        ["count", "--family", "nc_d", "--n", "0"],
-        ["count", "--family", "nn_d", "--n", "0"],
-        ["enumerate", "--family", "nc_b", "--n", "-2"],
-        ["enumerate", "--family", "pi_b", "--n", "-1"],
-        ["enumerate", "--family", "nc_a", "--n", "-1", "--count-only"],
-        ["enumerate", "--family", "nc_d", "--n", "0"],
-        ["enumerate", "--family", "nn_d", "--n", "0", "--count-only"],
-        ["count", "--family", "nc_d", "--n", "0", "--type", ""],
-        ["count", "--family", "nc_a", "--n", "-1", "--type", ""],
-    ],
-)
-def test_out_of_domain_n_exit_code(capsys, args):
-    code, out, err = run_cli(capsys, args)
-    assert code == 1 and out == "" and err.startswith("error: n must be >=")
-
-
-@pytest.mark.parametrize(
-    "name,payload",
-    [
-        ("rho", '{"blocks": [[1, "a"]]}'),
-        ("rho", '{"blocks": [[true]]}'),
-        ("rho", '{"blocks": [1, 2]}'),
-        ("rho", '{"n": "2", "blocks": [[1], [2]]}'),
-        ("phi_nc_b", '{"blocks": [[1, -1.0]]}'),
-        ("phi_nc_b_inverse", '{"sigma": {"blocks": [[1]]}, "marked": [[1, "a"]]}'),
-        ("phi_nc_d_inverse", '{"sigma": {"blocks": [[1]]}, "marked": [[1]], "epsilon": true}'),
-        ("nc_to_dyck_inverse", '{"steps": 5}'),
-        ("nc_to_dyck_inverse", '{"steps": ["N", "E"]}'),
-        ("psi_d_inverse", '{"sigma": {"blocks": [[1, 2]]}, "x": {"int": "1"}}'),
-        ("psi_b_inverse", '{"sigma": {"blocks": [[1, 2]]}, "x": "edge"}'),
-        ("f_map_inverse", '{"south": [1], "east": ["2"], "ones": []}'),
-    ],
-)
-def test_map_rejects_mistyped_json(capsys, monkeypatch, name, payload):
-    code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin=payload, monkeypatch=monkeypatch)
-    assert code == 1 and out == "" and err.startswith("error:")
-
-
-def _script_env() -> dict:
-    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["count", "--family", "nc_d", "--n", "0", "--type", ""],
-        ["count", "--family", "nc_b", "--n", "3", "--type", "2,x"],
-    ],
-)
-def test_count_bad_type_exits_without_traceback(args):
-    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *args], capture_output=True, text=True, env=_script_env())
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("args,message", [
-    ("count --family nc_a --n abc", "argument --n: invalid int value: 'abc'"),
-    ("verify --suite nope", "argument --suite: invalid choice: 'nope'"),
-    ("count --family nc_a --n 3 --type -1,4", "argument --type: expected one argument"),
-    ("count --n 3", "the following arguments are required: --family"),
-])
-def test_usage_error_exits_1_with_one_error_line(capsys, args, message):
-    with pytest.raises(SystemExit, match="^1$"):
-        main(args.split())
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("name", ["xi", "rho", "phi_nc_b", "nc_to_nn_b"])
-def test_map_negative_n_exits_without_traceback(name):
-    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", "map", "--name", name, "--input", "-"],
-                          input='{"n": -2, "blocks": []}', capture_output=True, text=True, env=_script_env())
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: n must be >= 0\n")
-
-
-def test_kappa_inverse_rejects_the_rank_0_pair(capsys, monkeypatch):
-    stdin = '{"sigma": {"n": 0, "blocks": []}, "marked": []}'
-    code, out, err = run_cli(capsys, ["map", "--name", "kappa_inverse", "--input", "-"], stdin, monkeypatch)
-    assert (code, out, err) == (1, "", "error: not a restricted marked noncrossing pair\n")
-
-
-# the maps build paths and tableaux with the trusted constructors, so these reader texts are the only check
-@pytest.mark.parametrize("name,stdin,message", [
-    ("g_map_inverse", '{"steps": "NX"}', "steps must be N or E"),
-    ("g_map_inverse", '{"steps": "NNE"}', "need equally many N and E steps"),
-    ("f_map_inverse", '{"south": [1], "east": [2], "ones": [[2, 1]]}', "cell (2,1) is not in the diagram"),
-    ("f_map_inverse", '{"south": [1, 2], "east": [2], "ones": []}', "south and east labels must split 1..n"),
-])
-def test_map_reader_error_text(capsys, monkeypatch, name, stdin, message):
-    code, out, err = run_cli(capsys, ["map", "--name", name, "--input", "-"], stdin, monkeypatch)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("name,epsilon", [("xi_bar", None), ("phi_nc_b_inverse", None), ("phi_nc_d_inverse", 1)])
-def test_map_empty_marked_block_exits_without_traceback(name, epsilon):
-    obj = {"sigma": {"n": 2, "blocks": [[1], [2]]}, "marked": [[]]}
-    if epsilon is not None:
-        obj["epsilon"] = epsilon
-    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", "map", "--name", name, "--input", "-"],
-                          input=json.dumps(obj), capture_output=True, text=True, env=_script_env())
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: marked blocks must be distinct blocks of the partition\n"
+@pytest.mark.parametrize("args", OUT_OF_DOMAIN_N)
+def test_out_of_domain_n_exit_code(capsys, monkeypatch, args):
+    test_bad_input(capsys, monkeypatch, *args)
 
 
 def test_count_empty_type_at_n0(capsys):
@@ -188,10 +164,30 @@ def test_count_with_type(capsys):
     assert code == 0 and out.strip() == "4088"
 
 
+SERIES_GOLDEN = {
+    "F": (2, ["z^0: 1", "z^1: xy", "z^2: xy + x^2y^2"]),
+    "C": (3, ["z^0: 1", "z^1: 1", "z^2: 2", "z^3: 5"]),
+    "B": (3, ["z^0: 0", "z^1: 1", "z^2: 1", "z^3: 2"]),
+    "A": (3, ["z^0: 1", "z^1: x", "z^2: x + x^2", "z^3: 2*x + 2*x^2 + x^3"]),
+}
+
+
 def test_series_command(capsys):
-    code, out, _ = run_cli(capsys, ["series", "--which", "F", "--order", "2"])
-    assert code == 0
-    assert out.splitlines() == ["z^0: 1", "z^1: xy", "z^2: xy + x^2y^2"]
+    for which, (order, want) in SERIES_GOLDEN.items():
+        code, out, _ = run_cli(capsys, ["series", "--which", which, "--order", str(order)])
+        assert (which, code, out.splitlines()) == (which, 0, want)
+
+
+def test_a_failed_series_identity_exits_2(capsys, monkeypatch):
+    real = series_mod.sqrt_one_minus_4z
+
+    def off(order):  # -5/3 at z^1 leaves a fraction in the closed form of F
+        s = real(order)
+        return series_mod.Series(s.order, (s.coeffs[0], {(0, 0): Fraction(-5, 3)}) + s.coeffs[2:])
+
+    monkeypatch.setattr(series_mod, "sqrt_one_minus_4z", off)
+    code, out, err = run_cli(capsys, ["series", "--order", "3"])
+    assert (code, out, err) == (2, "", "invariant violation: coefficients did not normalize to integer polynomials\n")
 
 
 def test_series_cross_check(capsys):
@@ -229,18 +225,6 @@ def test_verify_reports_a_fault_inside_a_worker_as_a_failed_check(capsys, monkey
     test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch, jobs="2")
 
 
-@pytest.mark.parametrize("args,message", [
-    (["--max-n", "0"], "max_n must be >= 1"),
-    (["--max-n", "-2", "--suite", "core"], "max_n must be >= 1"),
-    (["--jobs", "0"], "jobs must be >= 1"),
-    (["--jobs", "-3"], "jobs must be >= 1"),
-])
-def test_verify_rejects_a_bad_domain_before_running(capsys, args, message):
-    code, out, err = run_cli(capsys, ["verify", "--max-n", "1", *args])
-    assert code == 1 and out == ""
-    assert err.strip() == f"error: {message}"
-
-
 def test_verify_sharded_by_check_prints_what_a_serial_run_prints(capsys):
     args = ["verify", "--max-n", "3", "--suite", "all"]
     serial = run_cli(capsys, args + ["--jobs", "1"])
@@ -249,13 +233,11 @@ def test_verify_sharded_by_check_prints_what_a_serial_run_prints(capsys):
 
 
 def test_render_arcs_golden(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        capsys,
-        ["render", "--mode", "arcs", "--input", "-"],
-        stdin='{"blocks":[[1,2]]}',
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0 and out == ".-.\n1 2\n"
+    for stdin, want in [
+        ('{"blocks":[[1,2]]}', ".-.\n1 2\n"),
+        ('{"n":2,"blocks":[[1,-2],[-1,2]]}', ".------.\n  .-.\n1 2 -1 -2\n"),  # signed: the order 1..n, -1..-n
+    ]:
+        assert run_cli(capsys, ["render", "--mode", "arcs", "--input", "-"], stdin, monkeypatch) == (0, want, "")
 
 
 def test_render_arcs_fig2_golden():
@@ -280,9 +262,11 @@ def test_render_path_golden(capsys, monkeypatch):
     assert out == "o o o\no . .\no . .\n"
 
 
-def test_render_tableau_golden():
-    t = f_map(MarkedPair.make(sp([[1, 2], [3], [4, 7, 9], [5, 6], [8], [10]]), [(1, 2), (4, 7, 9)]))
-    assert render_tableau(t) == "\n".join(
+def test_render_tableau_golden(capsys, monkeypatch):
+    # the filling of Fig. 10 (tests/test_encode.py::test_f_map_fig10)
+    stdin = '{"south": [3, 5, 8, 10], "east": [1, 2, 4, 6, 7, 9], "ones": [[-4, 4], [-4, 7], [-4, 9], [-1, 1], [-1, 2], [5, 6]]}'
+    code, out, _ = run_cli(capsys, ["render", "--mode", "tableau", "--input", "-"], stdin, monkeypatch)
+    assert code == 0 and out == "\n".join(
         [
             "    9 7 6 4 2 1",
             "-9 | 0",
@@ -295,6 +279,7 @@ def test_render_tableau_golden():
             " 5 | 0 0 1",
             " 8 | 0",
             "10 |",
+            "",
         ]
     )
 
@@ -385,20 +370,50 @@ def test_map_golden(capsys, monkeypatch, name):
     assert (code, out, err) == (0, json.dumps(json.loads(want)) + "\n", "")
 
 
-@pytest.mark.parametrize("command", [["map", "--name", "rho"], ["render", "--mode", "arcs"]], ids=["map", "render"])
-@pytest.mark.parametrize("where", ["missing", "directory"])
-def test_unreadable_input_exits_without_traceback(tmp_path, command, where):
-    path = tmp_path / "absent.json" if where == "missing" else tmp_path
-    proc = subprocess.run([sys.executable, "-m", "coxcat.cli", *command, "--input", str(path)],
-                          capture_output=True, text=True, env=_script_env())
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith(f"error: cannot read {path}") and "Traceback" not in proc.stderr
+# Members of large rank (xi at n = 40, the composed maps at rank 30, the
+# encode maps at rank 20) and their pinned images; each maps to its image and
+# back, byte for byte.
+LARGE_GOLDEN = {
+    "f_map": (
+        '{"sigma": {"n": 20, "blocks": [[1, 2, 7], [3, 5], [4], [6], [8, 9], [10, 11], [12, 15, 20], [13, 14], [16, 17], [18, 19]]}, "marked": [[1, 2, 7], [10, 11], [12, 15, 20]]}',
+        '{"south": [3, 4, 6, 8, 13, 16, 18], "east": [1, 2, 5, 7, 9, 10, 11, 12, 14, 15, 17, 19, 20], "ones": [[-12, 12], [-12, 15], [-12, 20], [-10, 10], [-10, 11], [-1, 1], [-1, 2], [-1, 7], [3, 5], [8, 9], [13, 14], [16, 17], [18, 19]]}',
+    ),
+    "g_map": (
+        '{"sigma": {"n": 20, "blocks": [[1, 2, 7], [3, 5], [4], [6], [8, 9], [10, 11], [12, 15, 20], [13, 14], [16, 17], [18, 19]]}, "marked": [[1, 2, 7], [10, 11], [12, 15, 20]]}',
+        '{"steps": "EENEEEENNNENNNNNEEEENNEEEENNNEEENNEENNNN"}',
+    ),
+    "kappa": (
+        '{"sigma": {"n": 19, "blocks": [[1], [2, 3, 4, 5, 6], [7, 19], [8], [9, 10, 17, 18], [11, 16], [12, 13], [14, 15]]}, "marked": [[1], [2, 3, 4, 5, 6], [7, 19]], "epsilon": -1}',
+        '{"sigma": {"n": 20, "blocks": [[1], [2, 3, 4, 5, 6], [7, 19, 20], [8], [9, 10, 17, 18], [11, 16], [12, 13], [14, 15]]}, "marked": [[1], [2, 3, 4, 5, 6]]}',
+    ),
+    "nc_to_nn_b": (
+        '{"n": 30, "blocks": [[-30, -27, -3, 1], [-1, 3, 27, 30], [-2, 2], [4, 24], [-24, -4], [5, 6, 7, 23], [-23, -7, -6, -5], [8, 13, 20, 21, 22], [-22, -21, -20, -13, -8], [9, 10], [-10, -9], [11], [-11], [12], [-12], [14, 19], [-19, -14], [15], [-15], [16, 18], [-18, -16], [17], [-17], [25], [-25], [26], [-26], [28, 29], [-29, -28]]}',
+        '{"n": 30, "blocks": [[1, 2], [-2, -1], [3, 4, 7, 14, 22], [-22, -14, -7, -4, -3], [5, 8, 16, 23], [-23, -16, -8, -5], [6, 10], [-10, -6], [9, 18], [-18, -9], [11], [-11], [12], [-12], [13, 19], [-19, -13], [15], [-15], [17], [-17], [20, 24], [-24, -20], [-29, 21, 27, 30], [-30, -27, -21, 29], [25], [-25], [26], [-26], [-28, 28]]}',
+    ),
+    "nc_to_nn_d": (
+        '{"n": 30, "blocks": [[1, 3, 4], [-4, -3, -1], [2], [-2], [5], [-5], [-29, 6], [-6, 29], [7, 10], [-10, -7], [8, 9], [-9, -8], [11], [-11], [12, 30], [-30, -12], [13, 14, 26, 27], [-27, -26, -14, -13], [15, 25], [-25, -15], [16], [-16], [17, 22], [-22, -17], [18], [-18], [19, 21], [-21, -19], [20], [-20], [23], [-23], [24], [-24], [28], [-28]]}',
+        '{"n": 30, "blocks": [[1, 9], [-9, -1], [2, 10], [-10, -2], [3, 13], [-13, -3], [4], [-4], [5, 15, 20, 27], [-27, -20, -15, -5], [6], [-6], [7, 16], [-16, -7], [8], [-8], [11], [-11], [12], [-12], [14, 17, 21], [-21, -17, -14], [18, 24], [-24, -18], [19], [-19], [22], [-22], [23, 30], [-30, -23], [25], [-25], [-29, 26], [-26, 29], [28], [-28]]}',
+    ),
+    "xi": (
+        '{"n": 40, "blocks": [[1, 2, 4, 11, 12], [3], [5, 10], [6], [7, 9], [8], [13], [14], [15, 16, 18, 19, 22, 23, 24, 25], [17], [20], [21], [26, 27, 28, 40], [29, 32], [30, 31], [33], [34, 38], [35], [36, 37], [39]]}',
+        '{"n": 40, "blocks": [[1, 3], [2], [4, 10], [5, 8], [6, 7], [9], [11], [12, 13, 14, 40], [15, 16, 18, 19, 22, 23, 24, 39], [17], [20], [21], [25, 26, 28, 35, 36], [27], [29, 34], [30], [31, 33], [32], [37], [38]]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GOLDEN))
+def test_large_golden_maps_back(capsys, monkeypatch, name):
+    given, image = LARGE_GOLDEN[name]
+    assert run_cli(capsys, ["map", "--name", name, "--input", "-"], given, monkeypatch) == (0, image + "\n", "")
+    back = ["map", "--name", MAP[name].inverse_name, "--input", "-"]
+    assert run_cli(capsys, back, image, monkeypatch) == (0, given + "\n", "")
 
 
 def test_closed_stdout_ends_the_output_quietly():
     # 58,786 lines fill the pipe, so the script is still writing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coxcat.__file__))}
     proc = subprocess.Popen([sys.executable, "-m", "coxcat.cli", "enumerate", "--family", "nc_a", "--n", "11"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_script_env())
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)

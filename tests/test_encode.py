@@ -295,8 +295,8 @@ def test_tableau_validate_kinds():
     assert not tableau_validate(empty_col, "PT_B")
     with pytest.raises(ValidationError):
         tableau_validate(single, "CT_Q")
-    with pytest.raises(ValidationError):
-        ShiftedTableau.make([1], [2], [(1, 2)])  # cell (1,2) exists, (2,1) does not
+    assert ShiftedTableau.make([1], [2], [(1, 2)]).ones == {(1, 2)}  # cell (1,2) exists, (2,1) does not
+    with pytest.raises(ValidationError, match=r"^cell \(2,1\) is not in the diagram$"):
         ShiftedTableau.make([1], [2], [(2, 1)])
 
 
