@@ -6,15 +6,19 @@ and blocks are ordered by their minimum element.  The empty partition
 
 Whether blocks cross or nest in a total order (noncrossing_wrt,
 nonnesting_wrt) is one O(n) scan of the order over an ownership array;
-pattern_free is the quadruple definition they are tested against.
+pattern_free is the quadruple definition they are tested against.  A
+partition's nonnested and nonaligned blocks are each found by one O(n) scan,
+made at most once per instance: the result is cached on the instance, which
+changes neither its equality, its hash nor its JSON.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import ClassVar, Iterable, Iterator, NoReturn, Sequence
 
 Block = tuple[int, ...]
 Edge = tuple[int, int]
@@ -35,13 +39,23 @@ class SetPartition:
     n: int
     blocks: tuple[Block, ...]
 
+    # nonnested_blocks and nonaligned_blocks keep their result here.  As
+    # ClassVars these are not dataclass fields, so equality, hashing, repr and
+    # JSON ignore them.  They are set with object.__setattr__, which keeps
+    # CPython's compact instance layout; functools.cached_property writes
+    # through the instance __dict__, which on CPython 3.11 and 3.12 doubles the
+    # cost of every later attribute load on the instance.
+    _nonnested: ClassVar[tuple[Block, ...] | None] = None
+    _nonaligned: ClassVar[tuple[Block, ...] | None] = None
+
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":
         """Validate integer blocks and put them in canonical form, in O(n).
 
-        n must be >= 0; when it is None it is the largest element.  One pass
-        records owner[x], the index of the block holding x, and rejects a
-        non-integer element, an empty block, a repeated element and the
+        n must be >= 0; when it is None it is the largest element.  Blocks
+        holding other than n elements in all are rejected first.  Then one
+        pass records owner[x], the index of the block holding x, and rejects
+        a non-integer element, an empty block, a repeated element and the
         blocks not partitioning [n].  The canonical order is read off the
         array: scanning x = 1..n appends x to its block, and a block is
         placed when its minimum is reached.
@@ -52,6 +66,9 @@ class SetPartition:
         try:
             if n is None:
                 n = max((max(b) for b in bs if b), default=0)
+            # before the array is allocated, so that an oversized n is an error, not an allocation
+            if sum(map(len, bs)) != n:
+                _reject(bs, n)
             owner = [-1] * (n + 1)
             for i, b in enumerate(bs):
                 if not b:
@@ -62,8 +79,6 @@ class SetPartition:
                     owner[x] = i
         except TypeError:
             raise ValidationError(_NOT_INTEGERS) from None
-        if sum(map(len, bs)) != n:
-            _reject(bs, n)
         return cls(n, _read_off(owner, len(bs), range(1, n + 1), owner[1:]))
 
     def block_containing(self, x: int) -> Block:
@@ -80,13 +95,18 @@ EMPTY = SetPartition(0, ())
 
 _NOT_INTEGERS = "block elements and n must be integers"
 
+_MAXIMUM = operator.itemgetter(-1)
+
 
 def _reject(bs: list[tuple], n: int, signed: bool = False) -> NoReturn:
-    """Raise the error for blocks in which the ownership pass met a stray or repeated element.
+    """Raise the error for blocks that do not partition [n] (or [+-n] when signed).
 
-    Each block in turn is checked for emptiness, a repeat and (signed) the
-    element 0; then comes the cover of [n] or [+-n].
+    A non-integer n or element raises TypeError, which the caller reports as
+    _NOT_INTEGERS.  Then each block in turn is checked for emptiness, a
+    repeat and (signed) the element 0; then comes the cover of [n] or [+-n].
     """
+    for x in itertools.chain((n,), *bs):
+        operator.index(x)
     canon = [tuple(sorted(b)) for b in bs]
     for t in canon:
         if not t:
@@ -128,17 +148,29 @@ def nonnested_blocks(p: SetPartition) -> tuple[Block, ...]:
     """Blocks B with no edge (i, j) satisfying i < min(B) <= max(B) < j, sorted by maximum.
 
     One sweep over 1..n keeps the largest right end of an edge that starts
-    before the current element, so B is nonnested iff that prefix maximum,
-    read at min(B), does not pass max(B).  O(n), plus sorting the result.
-    p must be canonical: ascending blocks that partition [n].
+    before the current element, so B is nonnested iff that running maximum,
+    read at min(B), does not pass max(B).  O(n), plus sorting the result,
+    once per instance: the result is kept on p.  p must be canonical:
+    ascending blocks that partition [n].
     """
+    if p._nonnested is not None:
+        return p._nonnested
     right_end = [0] * (p.n + 1)  # right_end[i] = j for the edge (i, j), else 0
     for b in p.blocks:
         for i, j in zip(b, b[1:]):
             right_end[i] = j
-    reach = list(itertools.accumulate(right_end, max))  # reach[x - 1] = max right end of an edge (i, j) with i < x
-    out = [b for b in p.blocks if reach[b[0] - 1] <= b[-1]]
-    return tuple(sorted(out, key=lambda b: b[-1]))
+    out = []
+    reach, x = 0, 1  # reach: the largest right end of an edge (i, j) with i < x
+    for b in p.blocks:
+        while x < b[0]:
+            if right_end[x] > reach:
+                reach = right_end[x]
+            x += 1
+        if reach <= b[-1]:
+            out.append(b)
+    found = tuple(sorted(out, key=_MAXIMUM))
+    object.__setattr__(p, "_nonnested", found)
+    return found
 
 
 def nonaligned_blocks(p: SetPartition) -> tuple[Block, ...]:
@@ -146,12 +178,15 @@ def nonaligned_blocks(p: SetPartition) -> tuple[Block, ...]:
 
     B is nonaligned iff max(B) is at least the largest left end of an edge,
     which is the largest second-to-last element of a block.  O(n), plus
-    sorting the result.  p must be canonical: ascending blocks that
-    partition [n].
+    sorting the result, once per instance: the result is kept on p.  p must
+    be canonical: ascending blocks that partition [n].
     """
+    if p._nonaligned is not None:
+        return p._nonaligned
     last_left = max((b[-2] for b in p.blocks if len(b) > 1), default=0)
-    out = [b for b in p.blocks if b[-1] >= last_left]
-    return tuple(sorted(out, key=lambda b: b[-1]))
+    found = tuple(sorted([b for b in p.blocks if b[-1] >= last_left], key=_MAXIMUM))
+    object.__setattr__(p, "_nonaligned", found)
+    return found
 
 
 def special_blocks(p: SetPartition, kind: str) -> tuple[Block, ...]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from .core import SetPartition, ValidationError
 from .encode import BPair, DPair, LatticePath, ShiftedTableau
 from .models import MarkedPair, MarkedTriple
@@ -125,7 +127,7 @@ def _pair_from_obj(o: dict, cls: type[BPair] | type[DPair]) -> BPair | DPair:
         return cls.make(sigma, ("block", tuple(sorted(_ints(x["block"], "block")))))
     if isinstance(x, dict) and "int" in x and _is_int(x["int"]):
         return cls.make(sigma, ("int", x["int"]))
-    raise ValidationError(f"bad x slot {x!r}")
+    raise ValidationError(f"bad x slot {_quote(x)}")
 
 
 def _need(o, *keys):
@@ -136,6 +138,17 @@ def _need(o, *keys):
             raise ValidationError(f"missing key {k!r}")
 
 
+def _quote(v) -> str:
+    """v as JSON, so that an error quotes the input as the user wrote it.
+
+    repr for a value JSON cannot encode, which only a Python caller can pass.
+    """
+    try:
+        return json.dumps(v)
+    except (TypeError, ValueError):
+        return repr(v)
+
+
 def _is_int(x) -> bool:
     # JSON true and false arrive as bool, which Python counts as int
     return type(x) is int
@@ -144,19 +157,19 @@ def _is_int(x) -> bool:
 def _n(o: dict) -> int | None:
     n = o.get("n")
     if n is not None and not _is_int(n):
-        raise ValidationError(f"n must be an integer, got {n!r}")
+        raise ValidationError(f"n must be an integer, got {_quote(n)}")
     return n
 
 
 def _ints(v, what: str) -> list:
     if not isinstance(v, list) or not all(_is_int(x) for x in v):
-        raise ValidationError(f"{what} must be a list of integers, got {v!r}")
+        raise ValidationError(f"{what} must be a list of integers, got {_quote(v)}")
     return v
 
 
 def _int_lists(v, what: str) -> list:
     if not isinstance(v, list):
-        raise ValidationError(f"{what} must be a list of lists of integers, got {v!r}")
+        raise ValidationError(f"{what} must be a list of lists of integers, got {_quote(v)}")
     for b in v:
         _ints(b, f"each of {what}")
     return v

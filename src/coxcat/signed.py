@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator
@@ -35,9 +36,10 @@ class SignedPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SignedPartition":
         """Validate integer blocks and put them in canonical form, in O(n).
 
-        n must be >= 0; when it is None it is the largest absolute value.  One
-        pass records owner[x], the index of the block holding x (owner[-x] is
-        the entry 2n + 1 - x), and rejects a non-integer element, an empty
+        n must be >= 0; when it is None it is the largest absolute value.
+        Blocks holding other than 2n elements in all are rejected first.  Then
+        one pass records owner[x], the index of the block holding x (owner[-x]
+        is the entry 2n + 1 - x), and rejects a non-integer element, an empty
         block, a repeated element, 0 in a block and the blocks not
         partitioning [+-n].  Then the owners of the negated elements of each
         block must all name one block, its mirror, and at most one block may
@@ -51,6 +53,9 @@ class SignedPartition:
         try:
             if n is None:
                 n = max((max(map(abs, b)) for b in bs if b), default=0)
+            # before the array is allocated, so that an oversized n is an error, not an allocation
+            if sum(map(len, bs)) != 2 * n:
+                _reject(bs, n, signed=True)
             owner = [-1] * (2 * n + 1)
             for i, b in enumerate(bs):
                 if not b:
@@ -61,8 +66,6 @@ class SignedPartition:
                     owner[x] = i
         except TypeError:
             raise ValidationError(_NOT_INTEGERS) from None
-        if sum(map(len, bs)) != 2 * n:
-            _reject(bs, n, signed=True)
         # Block j = mirror[i] holds the negation of the first element of block
         # i; every block has its mirror iff, for each x, -x lies in the mirror
         # of x's block.  owner[:0:-1] lists the owners of -1, ..., -n, n, ..., 1.
@@ -167,25 +170,31 @@ def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -
 
     Each pair (A, A') gives the block sorted(A u -A') and its mirror, one
     zero block when A = A'; each block b of sigma outside marked gives b and
-    its mirror, b negated and reversed.  Every block comes out ascending, and
-    the blocks are ordered by the place of their least absolute value in 1,
-    -1, 2, -2, ...: 2x for x > 0 and 1 - 2x for x < 0, so a block and its
-    mirror differ in the last bit.  The caller vouches for the pairs and
+    its mirror, b negated and reversed.  Every block comes out ascending.  A
+    block's place in the canonical order is that of its least absolute value
+    in 1, -1, 2, -2, ...: slot 2x for x > 0 and 1 - 2x for x < 0, so a block
+    and its mirror differ in the last bit.  The slots are distinct and below
+    2n + 2, so each block is put into its slot of one list, and the filled
+    slots in order are the blocks.  The caller vouches for the pairs and
     marks; compose_triple is the checked route.
     """
-    keyed: list[tuple[int, Block]] = []
+    # Each tuple is built from a list of known length.  tuple() of a bare
+    # iterator builds an oversized tuple and shrinks it, and on CPython 3.11
+    # each such tuple leaves the collector's allocation count one higher, so
+    # the maps ran several times as many collections (seen in gc.get_stats()).
+    slots: list[Block | None] = [None] * (2 * n + 2)
     for a1, a2 in pairs:
-        mixed = tuple(sorted(a1 + tuple([-x for x in a2])))
-        key = min([2 * x if x > 0 else 1 - 2 * x for x in mixed])
-        keyed.append((key, mixed))
+        mixed = tuple(sorted([*a1, *map(operator.neg, a2)]))
+        i = bisect_left(mixed, 1)  # the least absolute value is mixed[i - 1] or mixed[i]
+        key = min([2 * x if x > 0 else 1 - 2 * x for x in mixed[max(i - 1, 0):i + 1]])
+        slots[key] = mixed
         if a1 != a2:
-            keyed.append((key ^ 1, tuple([-x for x in reversed(mixed)])))
+            slots[key ^ 1] = tuple([*map(operator.neg, reversed(mixed))])
     for b in sigma.blocks:
         if b not in marked:
-            keyed.append((2 * b[0], b))
-            keyed.append((2 * b[0] + 1, tuple([-x for x in reversed(b)])))
-    keyed.sort()
-    return SignedPartition(n, tuple([b for _, b in keyed]))
+            slots[2 * b[0]] = b
+            slots[2 * b[0] + 1] = tuple([*map(operator.neg, reversed(b))])
+    return SignedPartition(n, tuple([*filter(None, slots)]))
 
 
 def maximal_matchings(items: Iterable[Block]) -> Iterator[tuple[tuple[Block, Block], ...]]:

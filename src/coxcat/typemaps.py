@@ -15,7 +15,7 @@ route through the decompositions stays as the reference, xi_by_decomposition.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .core import (
@@ -52,6 +52,11 @@ def _build_from_profile(profile, nonnesting: bool) -> SetPartition:
     Attaching to the unfinished block with the largest (smallest) current
     minimum is forced when no two arcs may nest (cross), so the result is the
     unique partition of the requested kind with the given maxima and sizes.
+    The unfinished blocks sit in a deque by current minimum, so a new one
+    enters at the left end and the chosen one leaves from either end; each is
+    grown from its maximum downwards and reversed when complete.  A block is
+    complete at its minimum, so the blocks complete in descending order of
+    minimum, and reversing that order gives the canonical form.
     """
     if not profile:
         return EMPTY
@@ -59,27 +64,26 @@ def _build_from_profile(profile, nonnesting: bool) -> SetPartition:
     need = {mx: size for mx, size in profile}
     if len(need) != len(profile):
         raise InternalInvariantError("block maxima must be distinct")
-    open_blocks: list[list[int]] = []  # kept sorted by current minimum, ascending
+    open_blocks: deque[list[int]] = deque()  # ascending by current minimum, each block descending
     done: list[Block] = []
     for p in range(n, 0, -1):
         if p in need:
-            blk = [p]
             if need[p] == 1:
                 done.append((p,))
             else:
-                open_blocks.insert(0, blk)
+                open_blocks.appendleft([p])
         else:
             if not open_blocks:
                 raise InternalInvariantError(f"no block can absorb {p}")
-            blk = open_blocks.pop(-1 if nonnesting else 0)
-            blk.insert(0, p)
-            if len(blk) == need[blk[-1]]:
-                done.append(tuple(blk))
+            blk = open_blocks.pop() if nonnesting else open_blocks.popleft()
+            blk.append(p)
+            if len(blk) == need[blk[0]]:
+                done.append(tuple(reversed(blk)))
             else:
-                open_blocks.insert(0, blk)
+                open_blocks.appendleft(blk)
     if open_blocks:
         raise InternalInvariantError("unfinished blocks remain")
-    return SetPartition(n, tuple(sorted(done)))
+    return SetPartition(n, tuple(reversed(done)))
 
 
 def rho(p: SetPartition, check: bool = True) -> SetPartition:

@@ -86,23 +86,23 @@ BAD_INPUT = [
     ("map --name rho --input -", "[]", "error: expected a JSON object"),
     ("map --name rho --input -", "{}", "error: missing key 'blocks'"),
     ("map --name rho --input -", '{"blocks": 5}', "error: blocks must be a list of lists of integers, got 5"),
-    ("map --name rho --input -", '{"blocks": [[1, "a"]]}', "error: each of blocks must be a list of integers, got [1, 'a']"),
-    ("map --name rho --input -", '{"blocks": [[true]]}', "error: each of blocks must be a list of integers, got [True]"),
+    ("map --name rho --input -", '{"blocks": [[1, "a"]]}', 'error: each of blocks must be a list of integers, got [1, "a"]'),
+    ("map --name rho --input -", '{"blocks": [[true]]}', "error: each of blocks must be a list of integers, got [true]"),
     ("map --name rho --input -", '{"blocks": [1, 2]}', "error: each of blocks must be a list of integers, got 1"),
-    ("map --name rho --input -", '{"n": "2", "blocks": [[1], [2]]}', "error: n must be an integer, got '2'"),
+    ("map --name rho --input -", '{"n": "2", "blocks": [[1], [2]]}', 'error: n must be an integer, got "2"'),
     ("map --name phi_nc_b --input -", '{"blocks": [[1, -1.0]]}',
      "error: each of blocks must be a list of integers, got [1, -1.0]"),
     ("map --name phi_nc_b_inverse --input -", '{"sigma": {"blocks": [[1]]}, "marked": [[1, "a"]]}',
-     "error: each of marked must be a list of integers, got [1, 'a']"),
+     'error: each of marked must be a list of integers, got [1, "a"]'),
     ("map --name phi_nc_d_inverse --input -", '{"sigma": {"blocks": [[1]]}, "marked": [[1]], "epsilon": true}',
      "error: epsilon must be -1, 0 or 1"),
     ("map --name nc_to_dyck_inverse --input -", '{"steps": 5}', "error: steps must be a string of N and E"),
     ("map --name nc_to_dyck_inverse --input -", '{"steps": ["N", "E"]}', "error: steps must be a string of N and E"),
     ("map --name psi_d_inverse --input -", '{"sigma": {"blocks": [[1, 2]]}, "x": {"int": "1"}}',
-     "error: bad x slot {'int': '1'}"),
-    ("map --name psi_b_inverse --input -", '{"sigma": {"blocks": [[1, 2]]}, "x": "edge"}', "error: bad x slot 'edge'"),
+     'error: bad x slot {"int": "1"}'),
+    ("map --name psi_b_inverse --input -", '{"sigma": {"blocks": [[1, 2]]}, "x": "edge"}', 'error: bad x slot "edge"'),
     ("map --name f_map_inverse --input -", '{"south": [1], "east": ["2"], "ones": []}',
-     "error: east must be a list of integers, got ['2']"),
+     'error: east must be a list of integers, got ["2"]'),
     ("map --name f_map_inverse --input -", '{"south":[1],"east":[2],"ones":[[1,2,3]]}',
      "error: each of ones must be a [row, column] pair"),
     # a negative n in JSON
@@ -111,6 +111,13 @@ BAD_INPUT = [
     ("map --name rho --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
     ("map --name phi_nc_b --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
     ("map --name nc_to_nn_b --input -", '{"n": -2, "blocks": []}', "error: n must be >= 0"),
+    # an oversized n or element: the element count is compared before any array is allocated
+    ("map --name rho --input -", '{"n": 100000000000000000000, "blocks": [[1]]}',
+     "error: blocks do not partition [100000000000000000000]: [(1,)]"),
+    ("map --name rho --input -", '{"blocks": [[100000000000000000000]]}',
+     "error: blocks do not partition [100000000000000000000]: [(100000000000000000000,)]"),
+    ("map --name nc_to_nn_b --input -", '{"blocks": [[1, -100000000000000000000]]}',
+     "error: blocks do not partition [+-100000000000000000000]"),
     # the readers' own checks: the maps build paths, tableaux and pairs with the
     # trusted constructors, so these texts are the only check
     ("map --name g_map_inverse --input -", '{"steps": "NX"}', "error: steps must be N or E"),

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from coxcat.core import (
     special_blocks,
     type_of,
 )
+from coxcat.jsonio import set_partition_to_obj
 from coxcat.models import _with_zero_element, order_nc_b, order_nn_b, order_nn_c
 from coxcat.signed import enumerate_signed
 
@@ -244,3 +247,20 @@ def test_special_blocks_match_definitions_exhaustively():
         for p in partitions(n):
             assert nonnested_blocks(p) == _nonnested_by_definition(p)
             assert nonaligned_blocks(p) == _nonaligned_by_definition(p)
+
+
+def test_cached_special_blocks_are_invisible():
+    # the special blocks are cached on the instance; the cache must not show in
+    # equality, hashing, pickling (verify --jobs sends partitions between
+    # processes) or JSON, nor go stale
+    for n in range(7):
+        for p in partitions(n):
+            nonnested_blocks(p), nonaligned_blocks(p)
+            fresh = SetPartition(p.n, p.blocks)
+            assert p == fresh and hash(p) == hash(fresh)
+            copy = pickle.loads(pickle.dumps(p))
+            assert copy == p and hash(copy) == hash(p)
+            assert json.dumps(set_partition_to_obj(p)) == json.dumps(set_partition_to_obj(fresh))
+            for q in (p, copy):
+                assert nonnested_blocks(q) == _nonnested_by_definition(q)
+                assert nonaligned_blocks(q) == _nonaligned_by_definition(q)

@@ -93,7 +93,7 @@ def test_bpair_validates_slot():
         assert repr(pair.x) == want
         assert from_obj(json.loads(json.dumps(to_obj(pair)))) == pair
     obj = {"n": 2, "blocks": [[1, 2]]}
-    with pytest.raises(ValidationError, match=r"^bad x slot \{'int': True\}$"):
+    with pytest.raises(ValidationError, match=r'^bad x slot \{"int": true\}$'):
         d_pair_from_obj({"sigma": obj, "x": {"int": True}})
     with pytest.raises(ValidationError, match=r"^block must be a list of integers, got \[1\.0, 2\.0\]$"):
         b_pair_from_obj({"sigma": obj, "x": {"block": [1.0, 2.0]}})
