@@ -11,9 +11,9 @@ constructors; the checked ``make`` classmethods are for the JSON readers.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .core import (
@@ -370,9 +370,10 @@ class ShiftedTableau:
     exists when i < j; row -i is the added row whose diagonal sits in column
     i, with cells (-i, j) for east labels j >= i.  ones lists filled cells.
 
-    The dataclass constructor trusts that south and east are ascending and
-    split [n], and that ones is a frozenset of cells of the diagram; ``make``
-    is the checked, canonicalising constructor the JSON reader uses.
+    The dataclass constructor trusts that south and east are ascending int
+    tuples that split [n], and that ones is a frozenset of int cells of the
+    diagram; ``make`` is the checked, canonicalising constructor the JSON
+    reader uses.  Label lookups bisect the ascending tuples.
     """
 
     n: int
@@ -382,28 +383,32 @@ class ShiftedTableau:
 
     @classmethod
     def make(cls, south, east, ones) -> "ShiftedTableau":
-        south, east = tuple(sorted(south)), tuple(sorted(east))
+        """Check and canonicalise: every label must be an integer and every
+        cell of ones a pair of integers (operator.index, so True is stored as
+        1), the labels must split 1..n, and each cell of ones must be a cell
+        of the diagram."""
+        try:
+            south = tuple(sorted(map(operator.index, south)))
+            east = tuple(sorted(map(operator.index, east)))
+            ones = frozenset((operator.index(r), operator.index(c)) for r, c in ones)
+        except (TypeError, ValueError):  # ValueError: a cell that unpacks to other than two values
+            raise ValidationError("tableau labels must be integers and cells pairs of integers") from None
         n = len(south) + len(east)
         if sorted(south + east) != list(range(1, n + 1)):
             raise ValidationError("south and east labels must split 1..n")
-        t = cls(n, south, east, frozenset((int(r), int(c)) for r, c in ones))
+        t = cls(n, south, east, ones)
         for r, c in t.ones:
             if not t.cell_exists(r, c):
                 raise ValidationError(f"cell ({r},{c}) is not in the diagram")
         return t
 
-    @cached_property
-    def _labels(self) -> tuple[frozenset[int], frozenset[int]]:
-        # the south and east labels as sets, built once per tableau
-        return frozenset(self.south), frozenset(self.east)
-
     def cell_exists(self, r: int, c: int) -> bool:
-        south, east = self._labels
-        if c not in east:
+        east = self.east
+        if not _holds(east, c):
             return False
         if r < 0:
-            return -r in east and c >= -r
-        return r in south and c > r
+            return c >= -r and _holds(east, -r)
+        return c > r and _holds(self.south, r)
 
     def rows(self) -> list[int]:
         """Row labels from top to bottom."""
@@ -412,6 +417,12 @@ class ShiftedTableau:
     def columns(self) -> list[int]:
         """Column labels from left to right."""
         return sorted(self.east, reverse=True)
+
+
+def _holds(labels: tuple[int, ...], x: int) -> bool:
+    """x is one of the ascending labels."""
+    i = bisect_left(labels, x)
+    return i < len(labels) and labels[i] == x
 
 
 def f_map(m: MarkedPair, check: bool = True) -> ShiftedTableau:
@@ -464,23 +475,24 @@ def tableau_validate(t: ShiftedTableau, kind: str) -> bool:
     A 0 with a 1 to its left must have no 1 above it, and may not sit on
     the diagonal of an added row; every column needs a 1.  One row-major
     pass over the cells, with a "1 to the left" flag for the current row and
-    a count of 1s per column: O(cells) after sorting the n labels.  Only
-    cells of the diagram are read, so stray entries of t.ones are ignored.
+    a count of 1s per column: O(cells) after sorting the n labels.  The
+    cells of a row are a prefix of the columns (descending east labels):
+    south row r holds the east labels greater than r, added row -i those
+    that are at least i, so each row's length is one bisection of the
+    ascending east labels.  Only cells of the diagram are read, so stray
+    entries of t.ones are ignored.
     """
     if kind not in ("PT_B", "CT_B", "CT_D"):
         raise ValidationError(f"unknown tableau kind {kind!r}")
-    rows = t.rows()
+    east = t.east
     cols = t.columns()
     filled = t.ones
     ones_in_col = dict.fromkeys(cols, 0)
     row_len = 0  # ends as the length of the bottom row
-    for r in rows:
+    for r in t.rows():
         one_left = False
-        row_len = 0
-        for c in cols:
-            if not t.cell_exists(r, c):
-                break  # the cells of a row are a prefix of the columns
-            row_len += 1
+        row_len = len(east) - (bisect_left(east, -r) if r < 0 else bisect_right(east, r))
+        for c in cols[:row_len]:
             if (r, c) in filled:
                 one_left = True
                 ones_in_col[c] += 1

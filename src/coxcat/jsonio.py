@@ -162,7 +162,8 @@ def _n(o: dict) -> int | None:
 
 
 def _ints(v, what: str) -> list:
-    if not isinstance(v, list) or not all(_is_int(x) for x in v):
+    # one C-level pass over the element types; as in _is_int, a bool is not an int
+    if not isinstance(v, list) or not {*map(type, v)} <= {int}:
         raise ValidationError(f"{what} must be a list of integers, got {_quote(v)}")
     return v
 
@@ -170,6 +171,7 @@ def _ints(v, what: str) -> list:
 def _int_lists(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValidationError(f"{what} must be a list of lists of integers, got {_quote(v)}")
+    each = f"each of {what}"
     for b in v:
-        _ints(b, f"each of {what}")
+        _ints(b, each)
     return v

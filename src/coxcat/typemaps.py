@@ -283,8 +283,11 @@ def xi(p: SetPartition, check: bool = True) -> SetPartition:
 def _xi_special(p: SetPartition) -> tuple[SetPartition, tuple[Block, ...], tuple[Block, ...]]:
     """xi(p), with p's nonnested and nonaligned blocks, each sorted by maximum.
 
-    The trailing singletons are both nonnested and nonaligned, and their
-    maxima pass the core's, so they follow the core's special blocks.
+    The trailing singletons carry no edge, are both nonnested and nonaligned,
+    and their maxima pass the core's, so p's special blocks are the core's
+    followed by the t trailing singletons.  Both lists are therefore read off
+    p, whose scans may already be cached, and the walk's depths are checked
+    against their lengths less t.
     """
     n = p.n
     # the singletons {k+1}, ..., {n} are the last blocks of the canonical form
@@ -293,8 +296,8 @@ def _xi_special(p: SetPartition) -> tuple[SetPartition, tuple[Block, ...], tuple
         k, j = k - 1, j - 1
     if k == 0:
         return p, p.blocks, p.blocks
-    core = SetPartition(k, p.blocks[:j])
-    blocks, owner = core.blocks, _owners(core.blocks, k + 1)
+    blocks = p.blocks[:j]
+    owner = _owners(blocks, k + 1)
     top = blocks[owner[k]]
 
     pieces: list[list[int]] = []
@@ -321,15 +324,15 @@ def _xi_special(p: SetPartition) -> tuple[SetPartition, tuple[Block, ...], tuple
         b = blk[0] - 1
     labels += reversed(maxima)
 
-    nonnested, nonaligned = nonnested_blocks(core), nonaligned_blocks(core)
-    if len(maxima) != len(nonnested) or len(pieces) + 1 != len(nonaligned):
+    nonnested, nonaligned = nonnested_blocks(p), nonaligned_blocks(p)
+    t = len(p.blocks) - j
+    if len(maxima) != len(nonnested) - t or len(pieces) + 1 != len(nonaligned) - t:
         raise InternalInvariantError("decomposition depth must match the special block counts")
     # the image partitions [k], so the trailing singletons follow its blocks
-    trailing = p.blocks[j:]
-    result = SetPartition(n, _read_image(labels, j) + trailing)
-    if Counter(map(len, result.blocks)) != Counter(map(len, p.blocks)):
+    result = SetPartition(n, _read_image(labels, j) + p.blocks[j:])
+    if sorted(map(len, result.blocks)) != sorted(map(len, p.blocks)):
         raise InternalInvariantError("block type must be preserved")
-    return result, nonnested + trailing, nonaligned + trailing
+    return result, nonnested, nonaligned
 
 
 def _xi_bar(m: MarkedPair, check: bool, inverse: bool) -> MarkedPair:
@@ -399,12 +402,19 @@ def _on_pair(f, m: MarkedPair | MarkedTriple) -> MarkedPair | MarkedTriple:
 
 
 def _iota(family: str, m: MarkedPair | MarkedTriple, check: bool, inverse: bool = False) -> MarkedPair | MarkedTriple:
-    """Move the marked components that family's inverse holds to the front, the rest keeping their order."""
+    """Move the marked components that family's inverse holds to the front, the rest keeping their order.
+
+    The permutation is the identity when no component is overtaken or none
+    moves (a == 0 or w == 0); then m is returned as it is, without running
+    rearrange.
+    """
     require(m, SIGNED_FAMILIES[family].marked, check)
     held = held_marks(family, m)
     s, h = held.start, held.stop - held.start
     # components a+1..a+w go first, then 1..a: the held ones, or for the inverse the s they overtook
     a, w = (h, s) if inverse else (s, h)
+    if not a or not w:
+        return m
     perm = (*range(a + 1, a + w + 1), *range(1, a + 1), *range(a + w + 1, len(m.marked) + 1))
     return _on_pair(lambda pair: rearrange(pair, perm, check=False), m)
 

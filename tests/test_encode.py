@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CROSSING, FIG4_SIGMA, FIG5, NESTED_MARK, NESTED_TRIPLE, raises_guard_text
+from conftest import CROSSING, FIG4_SIGMA, FIG5, NESTED_MARK, NESTED_TRIPLE, random_member, raises_guard_text
 from coxcat import encode
 from coxcat.core import SetPartition, ValidationError, edges, noncrossing_partitions
 from coxcat.encode import (
@@ -307,6 +309,15 @@ def test_tableau_structure_validation():
         ShiftedTableau.make([1], [2], [(-2, 1)])
 
 
+def test_tableau_make_takes_integers_only():
+    for south, east, ones in (([1.0], [2], [(1, 2)]), ([1], [2], [(1.5, 2)]), ([1], ["2"], []), ([1], [2], [(1, 2, 3)])):
+        with pytest.raises(ValidationError, match="^tableau labels must be integers and cells pairs of integers$"):
+            ShiftedTableau.make(south, east, ones)
+    t = ShiftedTableau.make([True], [2], [(True, 2)])  # a bool is stored as its int
+    assert t == ShiftedTableau(2, (1,), (2,), frozenset({(1, 2)}))
+    assert {type(x) for x in (*t.south, *t.east, *itertools.chain(*t.ones))} == {int}
+
+
 def test_catalan_tableaux_counts():
     for n in range(1, 7):
         assert sum(1 for _ in catalan_tableaux(n, "CT_B")) == math.comb(2 * n, n)
@@ -384,6 +395,21 @@ def test_tableau_validate_matches_reference_on_every_filling():
                         assert tableau_validate(stray, kind) == want
                         cases += 1
     assert cases == 3 * 2449  # every filling of every shape with n <= 4, three kinds
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=20, max_value=40), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_tableau_validate_matches_reference_at_large_n(n, seed, data):
+    # long rows, whose length comes from bisection: an f_map image, and the same with one cell toggled
+    t = f_map(random_member(random.Random(seed), "nc_nn", n))
+    cells = [(r, c) for r in t.rows() for c in t.columns() if _cell_exists_reference(t, r, c)]
+    tableaux = [t]
+    if cells:
+        cell = data.draw(st.sampled_from(cells), label="toggled cell")
+        tableaux.append(ShiftedTableau(t.n, t.south, t.east, t.ones ^ {cell}))
+    for u in tableaux:
+        for kind in ("PT_B", "CT_B", "CT_D"):
+            assert tableau_validate(u, kind) == _tableau_validate_reference(u, kind)
 
 
 # varphi_b and varphi_d are not rows of the map table, so test_maps.py::test_domain_guard does not reach them

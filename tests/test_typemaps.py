@@ -1,11 +1,20 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import CROSSING, FIG2, FIG4, raises_guard_text, random_member, random_noncrossing
 from coxcat import typemaps
-from coxcat.core import EMPTY, SetPartition, ValidationError, noncrossing_partitions, nonnested_blocks, slice_partition
+from coxcat.core import (
+    EMPTY,
+    SetPartition,
+    ValidationError,
+    nonaligned_blocks,
+    noncrossing_partitions,
+    nonnested_blocks,
+    slice_partition,
+)
 from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
 from coxcat.signed import signed_type, zero_block_size
 from coxcat.typemaps import (
@@ -123,6 +132,19 @@ def test_xi_agrees_with_the_decomposition_route_at_large_n():
         q = xi(p)
         assert q == xi_by_decomposition(p)
         assert xi(q) == p
+
+
+def test_xi_special_returns_the_special_blocks_of_its_argument():
+    # _xi_special reads p's own scans, trailing singletons included; a fresh copy has none cached
+    trailing = 0
+    for n in range(9):
+        for p in noncrossing_partitions(n):
+            _, nonnested, nonaligned = typemaps._xi_special(p)
+            fresh = SetPartition(p.n, p.blocks)
+            assert nonnested == nonnested_blocks(fresh)
+            assert nonaligned == nonaligned_blocks(fresh)
+            trailing += n > 0 and p.blocks[-1] == (n,)
+    assert trailing == sum(math.comb(2 * k, k) // (k + 1) for k in range(8))  # those of [n] ending in {n}
 
 
 def test_xi_bar_example():
