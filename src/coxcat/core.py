@@ -6,10 +6,10 @@ and blocks are ordered by their minimum element.  The empty partition
 
 Whether blocks cross or nest in a total order (noncrossing_wrt,
 nonnesting_wrt) is one O(n) scan of the order over an ownership array;
-pattern_free is the quadruple definition they are tested against.  A
-partition's nonnested and nonaligned blocks are each found by one O(n) scan,
-made at most once per instance: the result is cached on the instance, which
-changes neither its equality, its hash nor its JSON.
+pattern_free, one loop over pairs of arcs, is the definition they are tested
+against.  A partition's nonnested and nonaligned blocks are each found by one
+O(n) scan, made at most once per instance: the result is cached on the
+instance, which changes neither its equality, its hash nor its JSON.
 """
 
 from __future__ import annotations
@@ -202,11 +202,13 @@ def _blocks_of(obj) -> tuple[Block, ...]:
 
 
 def pattern_free(p, order: Sequence[int], pattern: str) -> bool:
-    """No quadruple of positions i<j<k<l realizes the pattern across two blocks.
+    """No two arcs of the standard representation cross, or nest, in the order.
 
-    Crossing means elements of B sit at positions i, k and elements of B' at
-    j, l; nesting means B at i, l and B' at j, k.  The order must be a
-    permutation of the ground set partitioned by p.
+    The arcs join the positions of consecutive elements of a block, read in
+    order (arcs_in_order).  Two arcs (a, b) and (c, d) with a < c cross when
+    c < b < d and nest when d < b.  The pairwise definition that
+    noncrossing_wrt and nonnesting_wrt are tested against; the order must be
+    a permutation of the ground set partitioned by p.
     """
     if pattern not in ("crossing", "nesting"):
         raise ValidationError(f"unknown pattern {pattern!r}")
@@ -214,28 +216,11 @@ def pattern_free(p, order: Sequence[int], pattern: str) -> bool:
     ground = sorted(x for b in blocks for x in b)
     if len(set(order)) != len(order) or sorted(order) != ground:
         raise ValidationError("order does not match the partitioned ground set")
-    pos = {x: i for i, x in enumerate(order)}
-    positioned = [sorted(pos[x] for x in b) for b in blocks]
-    for pb, qb in itertools.combinations(positioned, 2):
-        if pattern == "crossing":
-            if _interleave(pb, qb):
-                return False
-        else:
-            if _two_inside(pb, qb) or _two_inside(qb, pb):
-                return False
+    crossing = pattern == "crossing"
+    for (a, b), (c, d) in itertools.combinations(sorted(arcs_in_order(blocks, order)), 2):
+        if (c < b < d) if crossing else d < b:
+            return False
     return True
-
-
-def _interleave(pb: list[int], qb: list[int]) -> bool:
-    # positions alternate P,Q,P,Q (or Q,P,Q,P) somewhere: three label switches
-    merged = sorted([(x, 0) for x in pb] + [(x, 1) for x in qb])
-    switches = sum(1 for a, b in zip(merged, merged[1:]) if a[1] != b[1])
-    return switches >= 3
-
-
-def _two_inside(outer: list[int], inner: list[int]) -> bool:
-    lo, hi = outer[0], outer[-1]
-    return sum(1 for q in inner if lo < q < hi) >= 2
 
 
 def arcs_in_order(blocks: Iterable[Iterable[int]], order: Sequence[int]) -> list[Edge]:
@@ -268,7 +253,7 @@ def _owners_over(blocks, order: Sequence[int]) -> tuple[list, list[int]]:
 
 
 def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:
-    """No two arcs of the standard representation cross; agrees with the quadruple condition.
+    """No two arcs of the standard representation cross, as pattern_free defines it.
 
     One scan of order keeps the open blocks, those with elements both behind
     and ahead, on a stack in the order they opened.  An element of an open

@@ -40,6 +40,7 @@ from .core import (
     noncrossing_partitions,
     noncrossing_wrt,
     nonnesting_partitions,
+    nonnesting_wrt,
     partitions,
     pattern_free,
     type_of,
@@ -132,11 +133,19 @@ def _count(items) -> int:
 # core
 
 
-@_declare("core", "crossing quadruple condition agrees with the arc test", 0, 10)
-def _crossing_quadruples(n):
+@_declare("core", "pairwise arc definition agrees with both scans", 0, 10)
+def _pairwise_arcs(n):
     order = tuple(range(1, n + 1))
-    agrees = n > 7 or all(pattern_free(p, order, "crossing") == noncrossing_wrt(p, order) for p in partitions(n))
-    return agrees and all(pattern_free(p, order, "crossing") for p in noncrossing_partitions(n))
+    agrees = n > 7 or all(
+        pattern_free(p, order, "crossing") == noncrossing_wrt(p, order)
+        and pattern_free(p, order, "nesting") == nonnesting_wrt(p, order)
+        for p in partitions(n)
+    )
+    return (
+        agrees
+        and all(pattern_free(p, order, "crossing") for p in noncrossing_partitions(n))
+        and all(pattern_free(p, order, "nesting") for p in nonnesting_partitions(n))
+    )
 
 
 @_declare("core", "type sums to n and blocks + edges = n", 0, 9)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import pickle
 import random
@@ -11,7 +10,6 @@ from coxcat.core import (
     EMPTY,
     SetPartition,
     ValidationError,
-    arcs_in_order,
     edges,
     nonaligned_blocks,
     nonnested_blocks,
@@ -143,14 +141,13 @@ def test_negative_n_is_rejected(generate):
         next(generate(-1))
 
 
-def test_quadruple_nesting_differs_from_arc_test():
-    # the block {1,3,6} spans {2,4} elementwise but no two arcs nest
-    p = sp([[1, 3, 6], [2, 4], [5]])
-    order = tuple(range(1, 7))
-    assert not pattern_free(p, order, "nesting")
-    from coxcat.core import nonnesting_wrt
-
-    assert nonnesting_wrt(p, order)
+def test_spanning_block_without_nested_arcs_is_nesting_free():
+    # {1,3,..} has an element before and after both of {2,4}, yet no arc of
+    # one block nests over an arc of the other
+    for p in (sp([[1, 3, 6], [2, 4], [5]]), sp([[1, 3, 5], [2, 4]])):
+        order = tuple(range(1, p.n + 1))
+        assert pattern_free(p, order, "nesting")
+        assert nonnesting_wrt(p, order)
 
 
 def test_slice_partition():
@@ -180,18 +177,12 @@ def test_crossing_check_under_random_orders(p, rnd):
     order = list(range(1, p.n + 1))
     rnd.shuffle(order)
     assert pattern_free(p, tuple(order), "crossing") == noncrossing_wrt(p, tuple(order))
+    assert pattern_free(p, tuple(order), "nesting") == nonnesting_wrt(p, tuple(order))
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the pairwise and per-block definitions the linear
-# kernels replace.
-
-
-def _arcs_nest_pairwise(arcs):
-    for (a, b), (c, d) in itertools.combinations(arcs, 2):
-        if a < c < d < b or c < a < b < d:
-            return True
-    return False
+# Reference oracles: the per-block definitions the linear kernels replace;
+# pattern_free is the pairwise one for crossings and nestings.
 
 
 def _nonnested_by_definition(p):
@@ -207,9 +198,8 @@ def _nonaligned_by_definition(p):
 
 
 def _assert_arc_tests_agree(blocks, order):
-    arcs = arcs_in_order(getattr(blocks, "blocks", blocks), order)
     assert noncrossing_wrt(blocks, order) == pattern_free(blocks, order, "crossing")
-    assert nonnesting_wrt(blocks, order) == (not _arcs_nest_pairwise(arcs))
+    assert nonnesting_wrt(blocks, order) == pattern_free(blocks, order, "nesting")
 
 
 def test_arc_tests_match_pairwise_oracle_under_random_orders():

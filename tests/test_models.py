@@ -1,18 +1,22 @@
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import FIG2, FIG4, FIG5, RANK_ONE
-from coxcat.core import SetPartition, ValidationError
+from conftest import FIG2, FIG4, FIG5, RANK_ONE, random_member
+from coxcat.core import SetPartition, ValidationError, pattern_free
 from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
     FAMILIES,
     SIGNED_FAMILIES,
     MarkedPair,
     MarkedTriple,
+    _ORDERS,
     _read_marked,
     _read_signed,
+    _with_zero_element,
     count_by_type,
     count_family,
     enumerate_family,
@@ -196,3 +200,42 @@ def test_count_agrees_with_enumeration_over_domain(family):
                 enumerate_family(family, n)
         else:
             assert count_family(family, n) == len(enumerate_family(family, n))
+
+
+def _move_pair(p: SignedPartition, rng: random.Random, move: str) -> SignedPartition:
+    """p with one pair +-x moved: "apart" into the singletons {x} and {-x},
+    "pair" into another block C and -x into its mirror, "zero" into the zero
+    block (made {x, -x} when there is none).  "pair" falls back to "zero"
+    when every other element is in the zero block."""
+    x = rng.randint(1, p.n)
+    blocks = [b for b in ([y for y in b if abs(y) != x] for b in p.blocks) if b]
+    zero = next((b for b in blocks if -b[0] == b[-1]), None)
+    others = [b for b in blocks if b is not zero]
+    if move == "apart":
+        blocks += [[x], [-x]]
+    elif move == "pair" and others:
+        c = rng.choice(others)
+        next(b for b in blocks if -c[0] in b).append(-x)
+        c.append(x)
+    elif zero is None:
+        blocks.append([x, -x])
+    else:
+        zero += [x, -x]
+    return SignedPartition.from_blocks(blocks, p.n)
+
+
+# nc_d and nn_d have no ordering oracle: they are decided by their triple round trip
+@pytest.mark.parametrize("family", list(_ORDERS))
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    move=st.sampled_from(["apart", "pair", "zero"]),
+)
+def test_near_miss_membership_matches_pattern_free(family, n, seed, move):
+    rng = random.Random(seed)
+    q = _move_pair(random_member(rng, family, n), rng, move)
+    order = _ORDERS[family](n)
+    blocks = _with_zero_element(q) if family == "nn_b" else q.blocks
+    pattern = "crossing" if family.startswith("nc") else "nesting"
+    assert is_member(q, family) == pattern_free(blocks, order, pattern)
