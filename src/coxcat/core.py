@@ -9,7 +9,10 @@ nonnesting_wrt) is one O(n) scan of the order over an ownership array;
 pattern_free, one loop over pairs of arcs, is the definition they are tested
 against.  A partition's nonnested and nonaligned blocks are each found by one
 O(n) scan, made at most once per instance: the result is cached on the
-instance, which changes neither its equality, its hash nor its JSON.
+instance, which changes neither its equality, its hash nor its JSON.  The
+noncrossing scan of a partition in its own order 1..n passes the nonnested
+blocks on its way, so a noncrossing partition leaves that scan with them
+cached, and a membership check followed by a map makes one scan, not two.
 """
 
 from __future__ import annotations
@@ -247,9 +250,17 @@ def _owners(blocks, size: int) -> list[int]:
 
 
 def _owners_over(blocks, order: Sequence[int]) -> tuple[list, list[int]]:
-    """The blocks, and their owner array spanning the values of order."""
-    bs = getattr(blocks, "blocks", blocks)
-    return bs, _owners(bs, max(order, default=0) - min(0, min(order, default=0)) + 1)
+    """The blocks, and their owner array over the ground set.
+
+    The array is sized from n for a partition: n + 1 entries for a
+    SetPartition and 2n + 1 for a signed one.  For a plain list of blocks it
+    spans the values of order.
+    """
+    if isinstance(blocks, SetPartition):
+        return blocks.blocks, _owners(blocks.blocks, blocks.n + 1)
+    if hasattr(blocks, "blocks"):
+        return blocks.blocks, _owners(blocks.blocks, 2 * blocks.n + 1)
+    return blocks, _owners(blocks, max(order, default=0) - min(0, min(order, default=0)) + 1)
 
 
 def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:
@@ -260,7 +271,34 @@ def noncrossing_wrt(blocks, order: Sequence[int]) -> bool:
     block must belong to the innermost one: else the arc it closes crosses
     the arc of each open block above it.  O(n) for n elements; order must
     list the ground set of the blocks.
+
+    A SetPartition read in its own order, order == range(1, n + 1), is
+    scanned block by block in its canonical order, the order its blocks open
+    in.  Each block must lie in one gap of the innermost open block, which
+    bisecting that block at the new minimum finds.  The blocks opened while
+    no block is open are then exactly the nonnested blocks, sorted by
+    maximum; a noncrossing partition keeps them as nonnested_blocks would,
+    so a later nonnested_blocks call makes no scan of its own.
     """
+    if isinstance(blocks, SetPartition) and order == range(1, blocks.n + 1):
+        outside = (0, blocks.n + 1)  # stands for no open block
+        top, end = outside, blocks.n + 1  # the innermost open block and its maximum
+        below: list[Block] = []  # the open blocks under top, innermost last
+        outer = []
+        for b in blocks.blocks:
+            first = b[0]
+            while end < first:
+                top = below.pop()
+                end = top[-1]
+            if top is outside:
+                outer.append(b)
+            elif b[-1] > top[bisect_left(top, first)]:
+                return False
+            if len(b) > 1:
+                below.append(top)
+                top, end = b, b[-1]
+        object.__setattr__(blocks, "_nonnested", tuple(outer))
+        return True
     bs, owner = _owners_over(blocks, order)
     left = [len(b) for b in bs]
     started = [False] * len(bs)

@@ -74,12 +74,34 @@ def slots(sigma: SetPartition, signed: bool = False) -> list[XSlot]:
 
 
 def _slot(sigma: SetPartition, x: XSlot, signed: bool) -> XSlot:
-    """The slot of sigma equal to x, so a value such as ("int", True) is kept in its int form."""
-    out = slots(sigma, signed)
-    try:
-        return out[out.index(x)]
-    except ValueError:
-        raise ValidationError(f"{x!r} is not a slot of the partition") from None
+    """The slot of sigma equal to x, so a value such as ("int", True) is kept in its int form.
+
+    Only the one slot x could equal is looked for, under the equality of
+    slots(sigma, signed): a block among sigma's blocks, an edge in the block
+    holding its left end, an int in +-1, ..., +-n.  A list never equals a
+    slot's tuple.
+    """
+    if x is None:
+        return None
+    if isinstance(x, tuple) and len(x) == 2:
+        kind, val = x
+        if kind == "block":
+            for b in sigma.blocks:
+                if b == val:
+                    return ("block", b)
+        elif kind == "edge" and isinstance(val, tuple) and len(val) == 2:
+            i, j = val
+            for b in sigma.blocks:
+                if i in b:
+                    k = b.index(i) + 1
+                    if k < len(b) and b[k] == j:
+                        return ("edge", b[k - 1:k + 1])
+                    break
+        elif kind == "int" and signed:
+            ints = range(-sigma.n, sigma.n + 1)
+            if val != 0 and val in ints:
+                return ("int", ints[ints.index(val)])
+    raise ValidationError(f"{x!r} is not a slot of the partition")
 
 
 def varphi_b(m: MarkedPair, check: bool = True) -> BPair:

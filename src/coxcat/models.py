@@ -42,7 +42,7 @@ from .core import (
     special_blocks,
     type_of,
 )
-from .signed import SignedPartition, _from_pairs, count_signed, enumerate_signed, signed_type
+from .signed import SignedPartition, _from_pairs, _pair_blocks, count_signed, enumerate_signed, signed_type
 
 FAMILIES = ("nc_a", "nn_a", "pi_b", "nc_b", "nc_d", "nn_b", "nn_c", "nn_d")
 UNSIGNED_FAMILIES = ("nc_a", "nn_a")
@@ -61,15 +61,15 @@ def _check_rank(n: int, domain: str) -> None:
 
 
 def order_nc_b(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1)) + tuple(-i for i in range(1, n + 1))
+    return (*range(1, n + 1), *range(-1, -n - 1, -1))
 
 
 def order_nn_c(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1)) + tuple(-i for i in range(n, 0, -1))
+    return (*range(1, n + 1), *range(-n, 0))
 
 
 def order_nn_b(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1)) + (0,) + tuple(-i for i in range(n, 0, -1))
+    return (*range(1, n + 1), 0, *range(-n, 0))
 
 
 _ORDERS = {"nc_b": order_nc_b, "nn_b": order_nn_b, "nn_c": order_nn_c}
@@ -115,7 +115,8 @@ def is_member(p, family: str) -> bool:
     if family in UNSIGNED_FAMILIES:
         if not isinstance(p, SetPartition):
             raise ValidationError(f"family {family} needs an unsigned partition")
-        return (noncrossing_wrt if family == "nc_a" else nonnesting_wrt)(p, tuple(range(1, p.n + 1)))
+        # in its own order, so that the noncrossing scan leaves p's nonnested blocks behind
+        return (noncrossing_wrt if family == "nc_a" else nonnesting_wrt)(p, range(1, p.n + 1))
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
     if not isinstance(p, SignedPartition):
@@ -140,6 +141,14 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     fails.  The triple is the forward image, so a checked forward map reads
     it from here instead of computing it again.
 
+    The inverse is not built whole.  Its blocks are those of its pairs
+    (_pairs, made by signed._pair_blocks), and each unmarked block of sigma
+    with its mirror.  The unmarked blocks of sigma are exactly p's blocks
+    that are all positive and miss n, so the inverse and p always share
+    those blocks and their mirrors.  So the inverse equals p when every
+    block of the pairs is a block of p and their number is that of p's
+    remaining blocks, len(p.blocks) less twice the unmarked count.
+
     Merging the blocks of n and -n and testing the rest as a type-B partition
     does not characterize the D families: splitting the merged zero block
     back can wrap around the center the wrong way, and in the nonnesting
@@ -153,7 +162,15 @@ def member_triple(p, family: str) -> MarkedTriple | None:
         return None
     if not validate_marked(triple, SIGNED_FAMILIES[family].marked):
         return None
-    return triple if _read_signed(family, triple) == p else None
+    own = set(p.blocks)
+    built = 0
+    for a1, a2 in _pairs(family, triple):
+        for b in _pair_blocks(a1, a2):
+            if b not in own:
+                return None
+            built += 1
+    unmarked = len(triple.sigma.blocks) - len(triple.marked)
+    return triple if built == len(p.blocks) - 2 * unmarked else None
 
 
 @functools.lru_cache(maxsize=64)

@@ -165,18 +165,26 @@ def compose_triple(
     return SignedPartition.from_blocks(image.blocks, sigma.n)
 
 
+def _pair_blocks(a1: Block, a2: Block) -> tuple[Block, ...]:
+    """The blocks of the pair (A, A'): sorted(A u -A') and its mirror, or that
+    one zero block when A = A'.  Both come out ascending."""
+    mixed = tuple(sorted([*a1, *map(operator.neg, a2)]))
+    if a1 == a2:
+        return (mixed,)
+    return mixed, tuple([*map(operator.neg, reversed(mixed))])
+
+
 def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -> SignedPartition:
     """The signed partition in canonical form, built without a check.
 
-    Each pair (A, A') gives the block sorted(A u -A') and its mirror, one
-    zero block when A = A'; each block b of sigma outside marked gives b and
-    its mirror, b negated and reversed.  Every block comes out ascending.  A
-    block's place in the canonical order is that of its least absolute value
-    in 1, -1, 2, -2, ...: slot 2x for x > 0 and 1 - 2x for x < 0, so a block
-    and its mirror differ in the last bit.  The slots are distinct and below
-    2n + 2, so each block is put into its slot of one list, and the filled
-    slots in order are the blocks.  The caller vouches for the pairs and
-    marks; compose_triple is the checked route.
+    Each pair (A, A') gives its _pair_blocks; each block b of sigma outside
+    marked gives b and its mirror, b negated and reversed.  Every block comes
+    out ascending.  A block's place in the canonical order is that of its
+    least absolute value in 1, -1, 2, -2, ...: slot 2x for x > 0 and 1 - 2x
+    for x < 0, so a block and its mirror differ in the last bit.  The slots
+    are distinct and below 2n + 2, so each block is put into its slot of one
+    list, and the filled slots in order are the blocks.  The caller vouches
+    for the pairs and marks; compose_triple is the checked route.
     """
     # Each tuple is built from a list of known length.  tuple() of a bare
     # iterator builds an oversized tuple and shrinks it, and on CPython 3.11
@@ -184,12 +192,12 @@ def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -
     # the maps ran several times as many collections (seen in gc.get_stats()).
     slots: list[Block | None] = [None] * (2 * n + 2)
     for a1, a2 in pairs:
-        mixed = tuple(sorted([*a1, *map(operator.neg, a2)]))
+        built = _pair_blocks(a1, a2)
+        mixed = built[0]
         i = bisect_left(mixed, 1)  # the least absolute value is mixed[i - 1] or mixed[i]
         key = min([2 * x if x > 0 else 1 - 2 * x for x in mixed[max(i - 1, 0):i + 1]])
-        slots[key] = mixed
-        if a1 != a2:
-            slots[key ^ 1] = tuple([*map(operator.neg, reversed(mixed))])
+        for bit, b in enumerate(built):
+            slots[key ^ bit] = b
     for b in sigma.blocks:
         if b not in marked:
             slots[2 * b[0]] = b

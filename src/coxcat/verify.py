@@ -137,7 +137,8 @@ def _count(items) -> int:
 def _pairwise_arcs(n):
     order = tuple(range(1, n + 1))
     agrees = n > 7 or all(
-        pattern_free(p, order, "crossing") == noncrossing_wrt(p, order)
+        # range(1, n + 1) takes the scan's block-by-block path for a partition in its own order
+        pattern_free(p, order, "crossing") == noncrossing_wrt(p, order) == noncrossing_wrt(p, range(1, n + 1))
         and pattern_free(p, order, "nesting") == nonnesting_wrt(p, order)
         for p in partitions(n)
     )

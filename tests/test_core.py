@@ -24,7 +24,7 @@ from coxcat.core import (
     type_of,
 )
 from coxcat.jsonio import set_partition_to_obj
-from coxcat.models import _with_zero_element, order_nc_b, order_nn_b, order_nn_c
+from coxcat.models import _with_zero_element, is_member, order_nc_b, order_nn_b, order_nn_c
 from coxcat.signed import enumerate_signed
 
 sp = SetPartition.from_blocks
@@ -239,18 +239,35 @@ def test_special_blocks_match_definitions_exhaustively():
             assert nonaligned_blocks(p) == _nonaligned_by_definition(p)
 
 
+def test_natural_order_scan_leaves_the_nonnested_blocks():
+    # read in its own order, the noncrossing scan keeps the nonnested blocks of
+    # a noncrossing partition on it, and leaves a crossing one as it found it
+    for n in range(10):
+        order = tuple(range(1, n + 1))
+        for p in partitions(n):
+            fresh = SetPartition(p.n, p.blocks)
+            member = is_member(fresh, "nc_a")
+            assert member == noncrossing_wrt(p, order)
+            assert (fresh._nonnested is not None) == member
+            assert nonnested_blocks(fresh) == _nonnested_by_definition(p)
+
+
 def test_cached_special_blocks_are_invisible():
-    # the special blocks are cached on the instance; the cache must not show in
-    # equality, hashing, pickling (verify --jobs sends partitions between
-    # processes) or JSON, nor go stale
+    # the special blocks are cached on the instance, by their own scans or by
+    # the natural-order noncrossing scan; the cache must not show in equality,
+    # hashing, pickling (verify --jobs sends partitions between processes) or
+    # JSON, nor go stale
     for n in range(7):
         for p in partitions(n):
-            nonnested_blocks(p), nonaligned_blocks(p)
+            scanned = SetPartition(p.n, p.blocks)
+            noncrossing_wrt(scanned, range(1, n + 1))
+            nonnested_blocks(p), nonaligned_blocks(p), nonaligned_blocks(scanned)
             fresh = SetPartition(p.n, p.blocks)
-            assert p == fresh and hash(p) == hash(fresh)
-            copy = pickle.loads(pickle.dumps(p))
-            assert copy == p and hash(copy) == hash(p)
-            assert json.dumps(set_partition_to_obj(p)) == json.dumps(set_partition_to_obj(fresh))
-            for q in (p, copy):
-                assert nonnested_blocks(q) == _nonnested_by_definition(q)
-                assert nonaligned_blocks(q) == _nonaligned_by_definition(q)
+            for cached in (p, scanned):
+                assert cached == fresh and hash(cached) == hash(fresh)
+                copy = pickle.loads(pickle.dumps(cached))
+                assert copy == cached and hash(copy) == hash(cached)
+                assert json.dumps(set_partition_to_obj(cached)) == json.dumps(set_partition_to_obj(fresh))
+                for q in (cached, copy):
+                    assert nonnested_blocks(q) == _nonnested_by_definition(q)
+                    assert nonaligned_blocks(q) == _nonaligned_by_definition(q)

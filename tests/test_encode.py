@@ -109,6 +109,45 @@ def test_pair_enumerations_list_each_sigmas_slots_once(monkeypatch):
         assert list(pairs) and listed == list(sigmas)
 
 
+# odd-typed values: wrong lengths, lists, floats, bools and strings; the few equal to a slot, as
+# ("int", True) equals ("int", 1), must come back as that slot
+ODD_SLOTS = [
+    ("edge",), ("edge", 5), "edge", ("block", 3), ("edge", [1, 2]), ("block", [1, 2]), ("edge", (1, 2, 3)),
+    ("int", True), ("int", 1.0), ("int", -2.0), ("int", 1.5), ("int", "1"), ("block", (1.0, 2.0)),
+    ("edge", (1.0, 2)), [None], ("edge", (1, 2), 3),
+]
+
+
+NO_SLOT = object()
+
+
+def _slot_by_listing(sigma, x, signed):
+    """The slot of sigma equal to x by search in the listing of every slot, or NO_SLOT."""
+    out = slots(sigma, signed)
+    return out[out.index(x)] if x in out else NO_SLOT
+
+
+def test_slot_decides_the_one_slot_the_listing_finds():
+    for n in range(8):
+        for sigma in noncrossing_partitions(n):
+            near = [("edge", (b[i], b[j])) for b in sigma.blocks for i in range(len(b)) for j in range(i + 2, len(b))]
+            near += [("edge", (j, i)) for i, j in edges(sigma)]
+            near += [("edge", (b[-1], c[0])) for b, c in zip(sigma.blocks, sigma.blocks[1:])]
+            near += [("edge", (0, 1)), ("edge", (n, n + 1))]
+            near += [("block", b[:-1]) for b in sigma.blocks if len(b) > 1]
+            near += [("block", b + (n + 1,)) for b in sigma.blocks]
+            near += [("int", 0), ("int", n + 1), ("int", -n - 1)]
+            for signed in (False, True):
+                for x in slots(sigma, signed) + near + ODD_SLOTS:
+                    want = _slot_by_listing(sigma, x, signed)
+                    try:
+                        got = encode._slot(sigma, x, signed)
+                    except ValidationError as e:
+                        got = NO_SLOT
+                        assert str(e) == f"{x!r} is not a slot of the partition"
+                    assert repr(got) == repr(want)
+
+
 def test_slots_order_and_counts():
     assert slots(sp([[1, 3], [2]]), signed=True) == [
         None,

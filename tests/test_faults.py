@@ -4,14 +4,25 @@ Each row of FAULTS patches one name with a wrong version and lists the
 registered checks that must fail under it, each at the least n that shows
 the fault.  Only those checks run, through verify.run_check, so a row costs
 milliseconds.  A change to a check body that costs it its power shows as a
-row that no longer fails.
+row that no longer fails.  Each row runs on fresh caches, so that a fault
+neither meets objects built by the right code nor leaves wrong ones behind.
 """
 
 import pytest
 
-from coxcat import verify
+from coxcat import core, models, typemaps, verify
+from coxcat.core import SetPartition
 
 CHECK = {(e.suite, e.name): e for e in verify.CHECKS}
+
+
+def _scan_drops_last_nonnested(blocks, order):
+    """core.noncrossing_wrt, except that the nonnested blocks its natural-order scan leaves lose their last."""
+    ok = core.noncrossing_wrt(blocks, order)
+    if ok and isinstance(blocks, SetPartition) and order == range(1, blocks.n + 1):
+        object.__setattr__(blocks, "_nonnested", blocks._nonnested[:-1])
+    return ok
+
 
 # (module, name, replacement, {(suite, check name): least failing n})
 FAULTS = [
@@ -20,11 +31,35 @@ FAULTS = [
         {("core", "pairwise arc definition agrees with both scans"): 4},
         id="nonnesting_wrt accepts everything",
     ),
+    pytest.param(
+        models, "noncrossing_wrt", _scan_drops_last_nonnested,
+        {
+            ("models", "bijective enumerations agree with filtering signed partitions"): 2,
+            ("interpret", "nc_b: bijective with type clause"): 1,
+            ("interpret", "nc_d: bijective with type clause"): 2,
+            ("typemaps", "marked-pair maps are bijections on their classes"): 1,
+            ("encode", "kappa is a bijection onto the restricted pairs"): 2,
+            ("encode", "path reflection is bijective and restricts to the avoiding paths"): 2,
+        },
+        id="the noncrossing scan caches all but the last nonnested block",
+    ),
 ]
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(typemaps, "_rho_index", {})
+    models.enumerate_family.cache_clear()
+    models.type_census.cache_clear()
+    yield
+    models.enumerate_family.cache_clear()
+    models.type_census.cache_clear()
 
 
 @pytest.mark.parametrize("module, name, fault, caught_by", FAULTS)
 def test_fault_is_caught(monkeypatch, module, name, fault, caught_by):
     monkeypatch.setattr(module, name, fault)
     for (suite, check), n in caught_by.items():
-        assert verify.run_check(CHECK[suite, check], n) == verify.Check(suite, check, False, f"n={n}")
+        result = verify.run_check(CHECK[suite, check], n)
+        # the check fails first at n, by a false predicate or by an exception named after "n=<n>: "
+        assert not result.ok and result.detail.split(":")[0] == f"n={n}"

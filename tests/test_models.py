@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIG2, FIG4, FIG5, RANK_ONE, random_member
+from coxcat import models
 from coxcat.core import SetPartition, ValidationError, pattern_free
 from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
     FAMILIES,
+    MARKED_CLASSES,
+    MARKED_TRIPLE_CLASSES,
     SIGNED_FAMILIES,
     MarkedPair,
     MarkedTriple,
@@ -239,3 +242,51 @@ def test_near_miss_membership_matches_pattern_free(family, n, seed, move):
     blocks = _with_zero_element(q) if family == "nn_b" else q.blocks
     pattern = "crossing" if family.startswith("nc") else "nesting"
     assert is_member(q, family) == pattern_free(blocks, order, pattern)
+
+
+def _in_image_by_rebuild(p: SignedPartition, family: str) -> bool:
+    """The type-D definition with the whole inverse built: the forward reading
+    of p is a valid marked triple whose inverse reading is p."""
+    try:
+        triple = _read_marked(family, p)
+    except ValidationError:
+        return False
+    return validate_marked(triple, SIGNED_FAMILIES[family].marked) and _read_signed(family, triple) == p
+
+
+@pytest.mark.parametrize("family", ["nc_d", "nn_d"])
+def test_type_d_membership_matches_the_rebuild_on_every_signed_partition(family):
+    for n in range(7):
+        for p in enumerate_signed(n):
+            assert is_member(p, family) == _in_image_by_rebuild(p, family)
+
+
+@pytest.mark.parametrize("family", ["nc_d", "nn_d"])
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    move=st.sampled_from(["apart", "pair", "zero"]),
+)
+def test_near_miss_type_d_membership_matches_the_rebuild(family, n, seed, move):
+    rng = random.Random(seed)
+    q = _move_pair(random_member(rng, family, n), rng, move)
+    assert is_member(q, family) == _in_image_by_rebuild(q, family)
+
+
+def test_membership_decisions_reach_a_scan(monkeypatch):
+    # perfbench times the membership layer as the two scans, so a decision
+    # made around them would read as no membership cost at all.  pi_b is every
+    # signed partition: its membership is the type test alone.
+    reached = []
+    for name in ("noncrossing_wrt", "nonnesting_wrt"):
+        scan = getattr(models, name)
+        monkeypatch.setattr(models, name, lambda blocks, order, scan=scan: reached.append(scan) or scan(blocks, order))
+    rng = random.Random("coxcat-scans")
+    for domain in [fam for fam in FAMILIES if fam != "pi_b"] + list(MARKED_CLASSES + MARKED_TRIPLE_CLASSES):
+        decide = is_member if domain in FAMILIES else validate_marked
+        for n in (1, 6, 30):
+            x = random_member(rng, domain, n)
+            reached.clear()
+            assert decide(x, domain)
+            assert reached, (domain, n)
