@@ -145,9 +145,9 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     (_pairs, made by signed._pair_blocks), and each unmarked block of sigma
     with its mirror.  The unmarked blocks of sigma are exactly p's blocks
     that are all positive and miss n, so the inverse and p always share
-    those blocks and their mirrors.  So the inverse equals p when every
-    block of the pairs is a block of p and their number is that of p's
-    remaining blocks, len(p.blocks) less twice the unmarked count.
+    those blocks and their mirrors.  The blocks of the inverse partition
+    [+-n], so once every block of the pairs is a block of p, they and those
+    shared blocks are all of p's blocks, and the inverse equals p.
 
     Merging the blocks of n and -n and testing the rest as a type-B partition
     does not characterize the D families: splitting the merged zero block
@@ -163,14 +163,11 @@ def member_triple(p, family: str) -> MarkedTriple | None:
     if not validate_marked(triple, SIGNED_FAMILIES[family].marked):
         return None
     own = set(p.blocks)
-    built = 0
     for a1, a2 in _pairs(family, triple):
         for b in _pair_blocks(a1, a2):
             if b not in own:
                 return None
-            built += 1
-    unmarked = len(triple.sigma.blocks) - len(triple.marked)
-    return triple if built == len(p.blocks) - 2 * unmarked else None
+    return triple
 
 
 @functools.lru_cache(maxsize=64)
