@@ -63,12 +63,12 @@ class SetPartition:
         array: scanning x = 1..n appends x to its block, and a block is
         placed when its minimum is reached.
         """
-        if n is not None:
-            _check_n(n)
         bs = [tuple(b) for b in blocks]
         try:
             if n is None:
                 n = max((max(b) for b in bs if b), default=0)
+            else:
+                _check_n(operator.index(n))  # a non-integer n is reported with the elements
             # before the array is allocated, so that an oversized n is an error, not an allocation
             if sum(map(len, bs)) != n:
                 _reject(bs, n)
@@ -404,6 +404,10 @@ def partitions(n: int) -> Iterator[SetPartition]:
 
 
 def _check_n(n: int, least: int = 0) -> None:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError("n must be an integer") from None
     if n < least:
         raise ValidationError(f"n must be >= {least}")
 

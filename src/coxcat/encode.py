@@ -211,8 +211,7 @@ def d_pairs(n: int) -> Iterator[DPair]:
 
 def is_restricted_pair(m: MarkedPair) -> bool:
     """Over [n] with n >= 1, a marked block containing n must have at least two elements."""
-    n = m.sigma.n
-    return n >= 1 and validate_marked(m, "nc_nn") and (n,) not in m.marked
+    return validate_marked(m, "nc_nn") and m.sigma.n >= 1 and (m.sigma.n,) not in m.marked
 
 
 def restricted_pairs(n: int) -> Iterator[MarkedPair]:

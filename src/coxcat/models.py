@@ -8,12 +8,12 @@ triples.  Signed families are enumerated through the inverse bijection of
 their SIGNED_FAMILIES row; filtering is the oracle.
 
 The unchecked reading of that bijection keeps the positive parts of the blocks
-and marks those that lost negative elements; for D it drops n and records the
-sign of the block absorbing n, or 0 when that block is {n} or the zero block.
-Back, it holds one mark when their number k is odd, or 2 - k mod 2 marks,
-which absorb n, under a nonzero sign, and pairs the rest first-with-last.
-Both ways it trusts its input and builds each object in canonical form, with
-no check.
+and marks those that lost negative elements (signed._positive_parts); for D it
+drops n and records the sign of the block absorbing n, or 0 when that block is
+{n} or the zero block.  Back, it holds one mark when their number k is odd, or
+2 - k mod 2 marks, which absorb n, under a nonzero sign, and pairs the rest
+first-with-last (signed._from_pairs).  Both ways it trusts its input and
+builds each object in canonical form, with no check.
 
 Every checked map guards its input with require(x, domain, check), for a
 family or a marked class, so each domain has one decision and one error text;
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -42,7 +42,9 @@ from .core import (
     special_blocks,
     type_of,
 )
-from .signed import SignedPartition, _from_pairs, _pair_blocks, count_signed, enumerate_signed, signed_type
+from .signed import (
+    SignedPartition, _from_pairs, _pair_blocks, _positive_parts, count_signed, enumerate_signed, signed_type,
+)
 
 FAMILIES = ("nc_a", "nn_a", "pi_b", "nc_b", "nc_d", "nn_b", "nn_c", "nn_d")
 UNSIGNED_FAMILIES = ("nc_a", "nn_a")
@@ -252,9 +254,9 @@ def _class_parts(cls_name: str) -> tuple[str, str, bool]:
 
 
 def validate_marked(m, cls_name: str) -> bool:
-    """Whether the (pair or triple) lies in the stated marked class."""
+    """Whether m is a pair or triple of the stated marked class; False for any other kind."""
     family, kind, is_triple = _class_parts(cls_name)
-    if is_triple != isinstance(m, MarkedTriple):
+    if not isinstance(m, MarkedTriple if is_triple else MarkedPair):
         return False
     if is_triple and (m.epsilon not in (-1, 0, 1) or not m.marked and m.epsilon != 0):
         return False
@@ -310,33 +312,6 @@ def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]
     if cls_name in MARKED_TRIPLE_CLASSES:
         return marked_triples(n - 1, cls_name)
     return marked_pairs(n, cls_name)
-
-
-def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, tuple[Block, ...]]:
-    """Parts of the blocks inside [1, top); mark those properly contained in their block.
-
-    Built in canonical form without a check: a block is ascending, so its
-    part is the slice from its first positive element, less top when top is
-    its last, and a block ending below 1 has none.  The parts are sorted by
-    first element, the marks by maximum.
-    """
-    _check_n(top - 1)
-    parts: list[Block] = []
-    marked: list[Block] = []
-    for b in p.blocks:
-        if b[-1] < 0:
-            continue
-        pos = b if b[0] > 0 else b[bisect_left(b, 1):]
-        if pos[-1] == top:
-            pos = pos[:-1]
-            if not pos:
-                continue
-        parts.append(pos)
-        if len(pos) < len(b):
-            marked.append(pos)
-    parts.sort()
-    marked.sort(key=lambda b: b[-1])
-    return SetPartition(top - 1, tuple(parts)), tuple(marked)
 
 
 def _epsilon_of_top_block(bn: Block, n: int) -> int:
@@ -425,8 +400,11 @@ def count_family(family: str, n: int) -> int:
 
 
 def _normalize_type(lam: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(sorted(lam, reverse=True))
-    if any(x < 1 for x in t):
+    try:
+        t = tuple(sorted(map(operator.index, lam), reverse=True))
+    except TypeError:
+        t = None
+    if t is None or any(x < 1 for x in t):
         raise ValidationError("type parts must be positive integers")
     return t
 

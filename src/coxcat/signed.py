@@ -3,9 +3,11 @@
 The triple decomposition (underlying partition of [n], marked blocks, maximal
 matching) identifies these with triples over ordinary set partitions, which
 drives both enumeration and the Stirling/involution counting formula.  One
-block builder, _from_pairs, makes the canonical form directly and trusts its
-input; compose_triple checks its arguments and passes the result through
-SignedPartition.from_blocks, so enumeration stays a checked route.
+reader, _positive_parts, and one builder, _from_pairs, make canonical forms
+directly and trust their input; models reads and writes through them.
+compose_triple checks its arguments and passes the result through
+SignedPartition.from_blocks, so enumerating triples(n) through it stays a
+checked route, independent of the kernel.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ class SignedPartition:
         x = 1..n the block of x, then the block of -x, is placed unless
         already placed.
         """
-        if n is not None:
-            _check_n(n)
         bs = [tuple(b) for b in blocks]
         try:
             if n is None:
                 n = max((max(map(abs, b)) for b in bs if b), default=0)
+            else:
+                _check_n(operator.index(n))  # a non-integer n is reported with the elements
             # before the array is allocated, so that an oversized n is an error, not an allocation
             if sum(map(len, bs)) != 2 * n:
                 _reject(bs, n, signed=True)
@@ -120,27 +122,20 @@ class TripleDecomposition:
 
 
 def decompose_triple(p: SignedPartition) -> TripleDecomposition:
-    """Split into the positive-part partition, its mixed blocks, and their matching."""
-    alpha_blocks: list[Block] = []
-    beta: list[Block] = []
-    pairs: set[tuple[Block, Block]] = set()
-    unmatched: Block | None = None
+    """Split p into alpha, the positive parts of its blocks, and beta, those that
+    lost negative elements (both read by _positive_parts), and their matching:
+    a block A u -A' with max A' < max A gives the pair (A', A), and the zero
+    block, A = A', adds ((0,), A) to gamma0."""
+    alpha, beta = _positive_parts(p, p.n + 1)
+    gamma = []
     for b in p.blocks:
-        pos = tuple(x for x in b if x > 0)  # blocks are ascending, so this is too
-        if not pos:
-            continue
-        alpha_blocks.append(pos)
-        if len(pos) < len(b):
-            beta.append(pos)
-            mirror_pos = tuple(sorted(-x for x in b if x < 0))
-            if mirror_pos == pos:
-                unmatched = pos
-            else:
-                pairs.add(tuple(sorted((pos, mirror_pos), key=lambda t: t[-1])))
-    alpha = SetPartition.from_blocks(alpha_blocks, p.n)
-    gamma = tuple(sorted(pairs, key=lambda pr: pr[0][-1]))
-    gamma0 = gamma if unmatched is None else gamma + (((0,), unmatched),)
-    return TripleDecomposition(alpha, tuple(sorted(beta, key=lambda b: b[-1])), gamma, gamma0)
+        if 0 < -b[0] < b[-1]:
+            i = bisect_left(b, 1)
+            gamma.append((tuple(-x for x in reversed(b[:i])), b[i:]))
+    gamma.sort(key=lambda pr: pr[0][-1])
+    z = p.zero_block()
+    zero = () if z is None else (((0,), z[len(z) // 2:]),)
+    return TripleDecomposition(alpha, beta, tuple(gamma), (*gamma, *zero))
 
 
 def compose_triple(
@@ -205,36 +200,62 @@ def _from_pairs(sigma: SetPartition, marked: Collection[Block], pairs, n: int) -
     return SignedPartition(n, tuple([*filter(None, slots)]))
 
 
+def _positive_parts(p: SignedPartition, top: int) -> tuple[SetPartition, tuple[Block, ...]]:
+    """Parts of the blocks inside [1, top); mark those properly contained in their block.
+
+    Built in canonical form without a check: a block is ascending, so its
+    part is the slice from its first positive element, less top when top is
+    its last, and a block ending below 1 has none.  The parts are sorted by
+    first element, the marks by maximum.
+    """
+    _check_n(top - 1)
+    parts: list[Block] = []
+    marked: list[Block] = []
+    for b in p.blocks:
+        if b[-1] < 0:
+            continue
+        pos = b if b[0] > 0 else b[bisect_left(b, 1):]
+        if pos[-1] == top:
+            pos = pos[:-1]
+            if not pos:
+                continue
+        parts.append(pos)
+        if len(pos) < len(b):
+            marked.append(pos)
+    parts.sort()
+    marked.sort(key=lambda b: b[-1])
+    return SetPartition(top - 1, tuple(parts)), tuple(marked)
+
+
 def maximal_matchings(items: Iterable[Block]) -> Iterator[tuple[tuple[Block, Block], ...]]:
-    """All perfect (even count) or near-perfect (odd count) matchings."""
+    """All perfect (even count) or near-perfect (odd count) matchings: the first
+    item is left unmatched when the count is odd, or matched with each later one."""
     items = list(items)
-    if len(items) % 2 == 0:
-        yield from _perfect_matchings(items)
-    else:
-        for i in range(len(items)):
-            rest = items[:i] + items[i + 1:]
-            yield from _perfect_matchings(rest)
-
-
-def _perfect_matchings(items: list[Block]) -> Iterator[tuple[tuple[Block, Block], ...]]:
-    if not items:
+    if len(items) < 2:
         yield ()
         return
     first, rest = items[0], items[1:]
-    for j in range(len(rest)):
-        pair = (first, rest[j])
-        for m in _perfect_matchings(rest[:j] + rest[j + 1:]):
-            yield (pair,) + m
+    if len(rest) % 2 == 0:
+        yield from maximal_matchings(rest)
+    for j, other in enumerate(rest):
+        for m in maximal_matchings(rest[:j] + rest[j + 1:]):
+            yield ((first, other),) + m
 
 
-def enumerate_signed(n: int) -> Iterator[SignedPartition]:
-    """Every signed partition exactly once, built from triples."""
+def triples(n: int) -> Iterator[tuple[SetPartition, tuple[Block, ...], tuple[tuple[Block, Block], ...]]]:
+    """Every triple (sigma, marked blocks, maximal matching of them) over [n] once."""
     for sigma in partitions(n):
         bs = sigma.blocks
         for r in range(len(bs) + 1):
             for marked in itertools.combinations(bs, r):
                 for matching in maximal_matchings(marked):
-                    yield compose_triple(sigma, marked, matching)
+                    yield sigma, marked, matching
+
+
+def enumerate_signed(n: int) -> Iterator[SignedPartition]:
+    """Every signed partition exactly once, each built from its triple by the checked compose_triple."""
+    for sigma, marked, matching in triples(n):
+        yield compose_triple(sigma, marked, matching)
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ ALIGNED_TRIPLE = MarkedTriple(ALIGNED_MARK.sigma, ALIGNED_MARK.marked, 1)
 CROSSED = SignedPartition.from_blocks([[1, 3], [-1, -3], [2, -2]])  # crossing in types B and D
 OUTSIDE_ALL = SignedPartition.from_blocks([[1, -2], [-1, 2], [3, -3]])  # in no nonnesting family
 EMPTY_PAIR = MarkedPair.make(EMPTY, ())  # rank 0, below the least rank of the restricted pairs
+UNMARKED = SetPartition.from_blocks([[1, 2]])  # a noncrossing, nonnesting partition, not a marked pair or triple
 
 # The domains with no member at rank 0; every other domain has one empty object there.
 RANK_ONE = ("nc_d", "nn_d", "nc_nn_pm", "nc_na_pm", "nn_na_pm", "d_pairs", "restricted")
@@ -43,18 +44,18 @@ RANK_ONE = ("nc_d", "nn_d", "nc_nn_pm", "nc_na_pm", "nn_na_pm", "d_pairs", "rest
 OUTSIDE = {
     "nc_a": ((CROSSING,), "not a noncrossing partition"),
     "nn_a": ((NESTING,), "not a nonnesting partition"),
-    "nc_nn": ((NESTED_MARK,), "not a marked noncrossing pair with nonnested marks"),
-    "nc_na": ((ALIGNED_MARK,), "not a marked noncrossing pair with nonaligned marks"),
-    "nn_na": ((ALIGNED_MARK,), "not a marked nonnesting pair with nonaligned marks"),
-    "nc_nn_pm": ((NESTED_TRIPLE,), "not a marked noncrossing triple with nonnested marks"),
-    "nc_na_pm": ((ALIGNED_TRIPLE,), "not a marked noncrossing triple with nonaligned marks"),
-    "nn_na_pm": ((ALIGNED_TRIPLE,), "not a marked nonnesting triple with nonaligned marks"),
+    "nc_nn": ((NESTED_MARK, UNMARKED), "not a marked noncrossing pair with nonnested marks"),
+    "nc_na": ((ALIGNED_MARK, UNMARKED), "not a marked noncrossing pair with nonaligned marks"),
+    "nn_na": ((ALIGNED_MARK, UNMARKED), "not a marked nonnesting pair with nonaligned marks"),
+    "nc_nn_pm": ((NESTED_TRIPLE, UNMARKED), "not a marked noncrossing triple with nonnested marks"),
+    "nc_na_pm": ((ALIGNED_TRIPLE, UNMARKED), "not a marked noncrossing triple with nonaligned marks"),
+    "nn_na_pm": ((ALIGNED_TRIPLE, UNMARKED), "not a marked nonnesting triple with nonaligned marks"),
     "nc_b": ((CROSSED,), "not a type-B noncrossing partition"),
     "nn_b": ((OUTSIDE_ALL,), "not a type-B nonnesting partition"),
     "nn_c": ((OUTSIDE_ALL,), "not a type-C nonnesting partition"),
     "nc_d": ((CROSSED,), "not a type-D noncrossing partition"),
     "nn_d": ((OUTSIDE_ALL,), "not a type-D nonnesting partition"),
-    "restricted": ((MarkedPair.make(SetPartition.from_blocks([[1], [2]]), [(2,)]), EMPTY_PAIR),
+    "restricted": ((MarkedPair.make(SetPartition.from_blocks([[1], [2]]), [(2,)]), EMPTY_PAIR, UNMARKED),
                    "not a restricted marked noncrossing pair"),
     "b_pairs": ((BPair(CROSSING, None),), "not a noncrossing partition"),
     "d_pairs": ((DPair(CROSSING, None),), "not a noncrossing partition"),
@@ -75,7 +76,8 @@ def guard_params():
             seen.add(name)
             objects, text = OUTSIDE[domain]
             for x in objects:
-                yield pytest.param(call, x, text, id=name + ("_rank0" if x is EMPTY_PAIR else ""))
+                suffix = "_rank0" if x is EMPTY_PAIR else "_unmarked" if x is UNMARKED else ""
+                yield pytest.param(call, x, text, id=name + suffix)
 
 
 def raises_guard_text(call, x, text):

@@ -224,6 +224,8 @@ def test_signed_partition_faults_name_the_first_offence(blocks, n):
         (SetPartition, [[1, "a"]], None),
         (SignedPartition, [[1.5], [-1.5]], None),
         (SignedPartition, [[1], [-1]], 1.0),
+        (SetPartition, [[1, 2], [3]], "3"),
+        (SignedPartition, [[1], [-1]], "1"),
     ],
 )
 def test_non_integers_are_rejected(cls, blocks, n):

@@ -114,13 +114,6 @@ def test_type_of():
     assert type_of(sp([[1, 2], [3, 4]])) == (2, 2)
 
 
-def test_enumerators_yield_valid_members():
-    for p in noncrossing_partitions(5):
-        assert pattern_free(p, (1, 2, 3, 4, 5), "crossing")
-    nested = sp([[1, 4], [2, 3], [5]])
-    assert nested not in set(nonnesting_partitions(5))
-
-
 @pytest.mark.parametrize(
     "generate, avoids",
     [(noncrossing_partitions, noncrossing_wrt), (nonnesting_partitions, nonnesting_wrt)],

@@ -10,10 +10,12 @@ runs on fresh caches, so that a fault neither meets objects built by the
 right code nor leaves wrong ones behind.
 """
 
+import dataclasses
+
 import pytest
 
-from coxcat import core, models, typemaps, verify
-from coxcat.core import SetPartition
+from coxcat import core, models, signed, typemaps, verify
+from coxcat.core import SetPartition, ValidationError
 
 CHECK = {(e.suite, e.name): e for e in verify.CHECKS}
 
@@ -24,6 +26,16 @@ def _scan_drops_last_nonnested(blocks, order):
     if ok and isinstance(blocks, SetPartition) and order == range(1, blocks.n + 1):
         object.__setattr__(blocks, "_nonnested", blocks._nonnested[:-1])
     return ok
+
+
+def _all_matchings_but_the_last(items, matchings=signed.maximal_matchings):
+    """signed.maximal_matchings, bound before the patch, less its last matching."""
+    return list(matchings(items))[:-1]
+
+
+def _decompose_without_gamma(p, decompose=signed.decompose_triple):
+    """signed.decompose_triple with an empty matching gamma."""
+    return dataclasses.replace(decompose(p), gamma=())
 
 
 # (module, name, replacement,
@@ -45,6 +57,27 @@ FAULTS = [
             ("encode", "path reflection is bijective and restricts to the avoiding paths"): (2, None),
         },
         id="the noncrossing scan caches all but the last nonnested block",
+    ),
+    pytest.param(
+        signed, "maximal_matchings", _all_matchings_but_the_last,
+        {
+            ("signed", "enumeration is duplicate-free and matches the counting formula"): (1, None),
+            ("models", "bijective enumerations agree with filtering signed partitions"): (1, None),
+        },
+        id="maximal_matchings drops its last matching",
+    ),
+    pytest.param(
+        verify, "decompose_triple", _decompose_without_gamma,
+        {
+            ("signed", "compose then decompose is the identity on triples"): (2, None),
+            ("signed", "triple decomposition round-trips and parity marks the zero block"): (2, ValidationError),
+        },
+        id="decompose_triple loses the matching",
+    ),
+    pytest.param(
+        typemaps, "_iota", lambda family, m, check, inverse=False: m,
+        {("typemaps", "composed maps are type-preserving bijections"): (4, None)},
+        id="iota is the identity",
     ),
 ]
 

@@ -74,7 +74,6 @@ CHECKED_CONSTRUCTOR_CALLERS = {
     ),
     "models.MarkedTriple.make",  # checks the pair through MarkedPair.make
     "signed.compose_triple",
-    "signed.decompose_triple",
 }
 
 

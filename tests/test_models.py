@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIG2, FIG4, FIG5, RANK_ONE, random_member
 from coxcat import models
-from coxcat.core import SetPartition, ValidationError, pattern_free
+from coxcat.core import (
+    SetPartition, ValidationError, noncrossing_partitions, nonnesting_partitions, partitions, pattern_free,
+)
+from coxcat.encode import lattice_paths
 from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
     FAMILIES,
@@ -30,7 +33,7 @@ from coxcat.models import (
     marked_triples,
     validate_marked,
 )
-from coxcat.signed import SignedPartition, enumerate_signed
+from coxcat.signed import SignedPartition, count_signed, enumerate_signed
 
 sp = SetPartition.from_blocks
 sgn = SignedPartition.from_blocks
@@ -203,6 +206,35 @@ def test_count_agrees_with_enumeration_over_domain(family):
                 enumerate_family(family, n)
         else:
             assert count_family(family, n) == len(enumerate_family(family, n))
+
+
+NOT_AN_INTEGER, NOT_A_PART = "n must be an integer", "type parts must be positive integers"
+
+# entry point -> (call on n, the error text for an n that operator.index rejects)
+NON_INTEGER_N = {
+    "partitions": (lambda n: list(partitions(n)), NOT_AN_INTEGER),
+    "noncrossing_partitions": (lambda n: list(noncrossing_partitions(n)), NOT_AN_INTEGER),
+    "nonnesting_partitions": (lambda n: list(nonnesting_partitions(n)), NOT_AN_INTEGER),
+    "enumerate_family_nc_a": (lambda n: enumerate_family("nc_a", n), NOT_AN_INTEGER),
+    "enumerate_family_nn_a": (lambda n: enumerate_family("nn_a", n), NOT_AN_INTEGER),
+    "enumerate_signed": (lambda n: list(enumerate_signed(n)), NOT_AN_INTEGER),
+    "count_family": (lambda n: count_family("nc_a", n), NOT_AN_INTEGER),
+    "count_signed": (count_signed, NOT_AN_INTEGER),
+    "lattice_paths": (lambda n: list(lattice_paths(n)), NOT_AN_INTEGER),
+    "count_by_type": (lambda n: count_by_type("B", n, ()), NOT_AN_INTEGER),
+    "count_by_type_part": (lambda n: count_by_type("B", 2, [n]), NOT_A_PART),
+    "exhaustive_count_by_type_part": (lambda n: exhaustive_count_by_type("B", 2, [1, n]), NOT_A_PART),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, "3"])
+@pytest.mark.parametrize("entry", NON_INTEGER_N)
+def test_non_integer_n_is_rejected(entry, n):
+    """An n (or a type part) that is not an integer is a ValidationError, never
+    a partition of [2.5] or a bare TypeError."""
+    call, text = NON_INTEGER_N[entry]
+    with pytest.raises(ValidationError, match=f"^{text}$"):
+        call(n)
 
 
 def _move_pair(p: SignedPartition, rng: random.Random, move: str) -> SignedPartition:

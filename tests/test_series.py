@@ -9,10 +9,8 @@ from coxcat.series import (
     nn_na_polynomial,
     poly_str,
     series,
-    series_a,
     series_b,
     series_c,
-    series_f_closed,
 )
 
 F = Fraction
@@ -23,17 +21,6 @@ def test_c_and_b_coefficients():
     assert series_b(5).scalar_coefficients() == tuple(map(F, (0, 1, 1, 2, 5, 14)))
 
 
-def test_component_identities():
-    order = 10
-    c = series_c(order)
-    b = series_b(order)
-    one = Series.constant(1, order)
-    assert (c * (one - b)).coeffs == one.coeffs
-    a = series_a(order)
-    at_one = tuple(sum(p.values(), F(0)) for p in a.coeffs)
-    assert at_one == c.scalar_coefficients()
-
-
 def test_f_low_order_coefficients():
     f = series("F", 2)
     assert f.coeffs[0] == {(0, 0): F(1)}
@@ -41,23 +28,11 @@ def test_f_low_order_coefficients():
     assert f.coeffs[2] == {(1, 1): F(1), (2, 2): F(1)}
 
 
-def test_f_specializes_to_catalan():
-    f = series_f_closed(10)
-    cats = [int(sum(p.values(), F(0))) for p in f.coeffs]
-    assert cats == [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-
-
 def test_cross_check_small():
     rep = cross_check(6)
     assert rep.ok
     assert rep.mismatches() == ()
     assert rep.entries[2].expected == {(1, 1): F(1), (2, 2): F(1)}
-
-
-def test_coefficients_symmetric():
-    f = series_f_closed(9)
-    for p in f.coeffs:
-        assert p == {(j, i): v for (i, j), v in p.items()}
 
 
 def test_nn_na_polynomial_n3():
