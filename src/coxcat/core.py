@@ -55,15 +55,19 @@ class SetPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":
         """Validate integer blocks and put them in canonical form, in O(n).
 
-        n must be >= 0; when it is None it is the largest element.  Blocks
-        holding other than n elements in all are rejected first.  Then one
-        pass records owner[x], the index of the block holding x, and rejects
-        a non-integer element, an empty block, a repeated element and the
+        n must be >= 0; when it is None it is the largest element.  blocks,
+        or a block, that is not iterable is rejected first, then blocks
+        holding other than n elements in all.  Then one pass records
+        owner[x], the index of the block holding x, and rejects a
+        non-integer element, an empty block, a repeated element and the
         blocks not partitioning [n].  The canonical order is read off the
         array: scanning x = 1..n appends x to its block, and a block is
         placed when its minimum is reached.
         """
-        bs = [tuple(b) for b in blocks]
+        try:
+            bs = [tuple(b) for b in blocks]
+        except TypeError:
+            raise ValidationError(_NOT_BLOCKS) from None
         try:
             if n is None:
                 n = max((max(b) for b in bs if b), default=0)
@@ -97,6 +101,7 @@ class SetPartition:
 EMPTY = SetPartition(0, ())
 
 _NOT_INTEGERS = "block elements and n must be integers"
+_NOT_BLOCKS = "blocks must be an iterable of iterables"
 
 _MAXIMUM = operator.itemgetter(-1)
 
@@ -403,13 +408,20 @@ def partitions(n: int) -> Iterator[SetPartition]:
         top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
-def _check_n(n: int, least: int = 0) -> None:
+def _integer(v, name: str) -> int:
+    """v read through operator.index; ValidationError("<name> must be an integer") if it is not one."""
     try:
-        n = operator.index(n)
+        return operator.index(v)
     except TypeError:
-        raise ValidationError("n must be an integer") from None
+        raise ValidationError(f"{name} must be an integer") from None
+
+
+def _check_n(n: int, least: int = 0, name: str = "n") -> int:
+    """n as an int; ValidationError, naming n as name, unless it is an integer >= least."""
+    n = _integer(n, name)
     if n < least:
-        raise ValidationError(f"n must be >= {least}")
+        raise ValidationError(f"{name} must be >= {least}")
+    return n
 
 
 def _open_block_scan(n: int, noncrossing: bool) -> Iterator[SetPartition]:

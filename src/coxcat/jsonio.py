@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .core import SetPartition, ValidationError
@@ -171,6 +172,9 @@ def _ints(v, what: str) -> list:
 def _int_lists(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValidationError(f"{what} must be a list of lists of integers, got {_quote(v)}")
+    # one type set for the blocks and one for all their elements; only a failure reads block by block
+    if {*map(type, v)} <= {list} and {*map(type, itertools.chain.from_iterable(v))} <= {int}:
+        return v
     each = f"each of {what}"
     for b in v:
         _ints(b, each)

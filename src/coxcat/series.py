@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInvariantError, ValidationError, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
+from .core import InternalInvariantError, ValidationError, _check_n, _integer, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
 
 Poly = dict[tuple[int, int], Fraction]
 
@@ -197,7 +197,7 @@ def series_f_closed(order: int) -> Series:
 
 def series(which: str, order: int | None = None) -> Series:
     """One of the named series: C, B, A (in x) or F."""
-    order = default_order() if order is None else order
+    order = default_order() if order is None else _integer(order, "order")
     if order < 0:
         raise ValidationError("order must be nonnegative")
     key = which.upper()
@@ -243,8 +243,7 @@ class CrossCheckReport:
 
 def cross_check(n_max: int) -> CrossCheckReport:
     """Compare both series routes against direct enumeration, degree by degree."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    n_max = _check_n(n_max, 1, "n_max")
     closed = series_f_closed(n_max)
     factored = series_f_factored(n_max)
     entries = []

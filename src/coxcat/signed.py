@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator
 
-from .core import _NOT_INTEGERS, Block, SetPartition, ValidationError, _check_n, _read_off, _reject, partitions
+from .core import _NOT_BLOCKS, _NOT_INTEGERS, Block, SetPartition, ValidationError, _check_n, _read_off, _reject, partitions
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,20 @@ class SignedPartition:
         """Validate integer blocks and put them in canonical form, in O(n).
 
         n must be >= 0; when it is None it is the largest absolute value.
-        Blocks holding other than 2n elements in all are rejected first.  Then
-        one pass records owner[x], the index of the block holding x (owner[-x]
-        is the entry 2n + 1 - x), and rejects a non-integer element, an empty
-        block, a repeated element, 0 in a block and the blocks not
-        partitioning [+-n].  Then the owners of the negated elements of each
-        block must all name one block, its mirror, and at most one block may
-        be its own mirror.  The canonical order is read off the array: for
-        x = 1..n the block of x, then the block of -x, is placed unless
-        already placed.
+        blocks, or a block, that is not iterable is rejected first, then
+        blocks holding other than 2n elements in all.  Then one pass records
+        owner[x], the index of the block holding x (owner[-x] is the entry
+        2n + 1 - x), and rejects a non-integer element, an empty block, a
+        repeated element, 0 in a block and the blocks not partitioning
+        [+-n].  Then the owners of the negated elements of each block must
+        all name one block, its mirror, and at most one block may be its own
+        mirror.  The canonical order is read off the array: for x = 1..n the
+        block of x, then the block of -x, is placed unless already placed.
         """
-        bs = [tuple(b) for b in blocks]
+        try:
+            bs = [tuple(b) for b in blocks]
+        except TypeError:
+            raise ValidationError(_NOT_BLOCKS) from None
         try:
             if n is None:
                 n = max((max(map(abs, b)) for b in bs if b), default=0)

@@ -16,8 +16,11 @@ undo it, and its statistic must hold; a check may add conditions of its own.
 A suite is the entries that share a suite name, and ``SUITES`` lists those
 names in registry order.  Checks are pure and independent, so
 ``run_suites(jobs=N)`` runs each check as one task on N processes; the
-report is sorted by suite and name either way.  The acceptance gate
-(tests/test_acceptance.py) runs every entry at its full bound.
+report is sorted by suite and name either way.  The process pool is
+imported only when N > 1, so importing this module, as every ``coxcat``
+command does, loads neither ``concurrent.futures`` nor ``multiprocessing``.
+The acceptance gate (tests/test_acceptance.py) runs every entry at its full
+bound.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -34,6 +36,7 @@ from typing import Callable
 from . import encode, maps, models, series, typemaps
 from .core import (
     ValidationError,
+    _check_n,
     edges,
     nonaligned_blocks,
     nonnested_blocks,
@@ -488,12 +491,13 @@ def run_suites(max_n: int = 6, names: list[str] | None = None, jobs: int = 1) ->
     for name in names:
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}")
-    if max_n < 1:
-        raise ValidationError("max_n must be >= 1")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    max_n = _check_n(max_n, 1, "max_n")
+    jobs = _check_n(jobs, 1, "jobs")
     entries = [e for e in CHECKS if e.suite in names]
     if jobs > 1:
+        # imported here, so that no serial run and no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             checks = list(pool.map(run_check, entries, itertools.repeat(max_n)))
     else:

@@ -440,6 +440,21 @@ def test_run_suites_rejects_an_unknown_suite():
         verify.run_suites(names=["nope"])
 
 
+@pytest.mark.parametrize("kwargs, text", [
+    ({"max_n": 2.5}, "max_n must be an integer"),
+    ({"max_n": "3"}, "max_n must be an integer"),
+    ({"jobs": 2.5}, "jobs must be an integer"),
+    ({"jobs": "2"}, "jobs must be an integer"),
+], ids=["max_n=2.5", 'max_n="3"', "jobs=2.5", 'jobs="2"'])
+def test_run_suites_rejects_non_integer_bounds_before_any_check(monkeypatch, kwargs, text):
+    def no_check(entry, max_n):
+        raise AssertionError(f"{entry.name} ran")
+
+    monkeypatch.setattr(verify, "run_check", no_check)
+    with pytest.raises(ValidationError, match=f"^{text}$"):
+        verify.run_suites(**kwargs)
+
+
 def test_a_suite_is_the_registry_entries_that_share_its_name():
     for suite in verify.SUITES:
         want = sorted(e.name for e in verify.CHECKS if e.suite == suite)

@@ -233,6 +233,20 @@ def test_non_integers_are_rejected(cls, blocks, n):
         cls.from_blocks(blocks, n)
 
 
+@pytest.mark.parametrize(
+    "cls, blocks, n",
+    [
+        (SetPartition, [1, 2], 2),
+        (SignedPartition, [1, -1], 2),
+        (SetPartition, 5, 2),
+        (SignedPartition, 5, None),
+    ],
+)
+def test_non_iterable_blocks_are_rejected(cls, blocks, n):
+    with pytest.raises(ValidationError, match=r"^blocks must be an iterable of iterables$"):
+        cls.from_blocks(blocks, n)
+
+
 # ---------------------------------------------------------------------------
 # The concatenation algebra emits canonical blocks without sorting
 

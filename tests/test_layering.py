@@ -61,9 +61,25 @@ def test_type_d_membership_and_enumeration_do_not_load_interpret():
         "assert len(coxcat.enumerate_family('nn_d', 4)) == coxcat.count_family('nn_d', 4)\n"
         "print('coxcat.interpret' in sys.modules)\n"
     )
+    assert _fresh_stdout(script) == "False"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify --jobs N with N > 1 opens a pool; every other command and import goes without one
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import coxcat.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith(('concurrent.futures', 'multiprocessing'))))\n"
+    )
+    assert _fresh_stdout(script) == "[]"
+
+
+def _fresh_stdout(script: str) -> str:
+    """The stripped stdout of script, run in a new interpreter that imports coxcat from SRC."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
 # The callers of the checked constructors, as module[.class].function.

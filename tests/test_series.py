@@ -56,6 +56,17 @@ def test_series_errors_and_dispatch():
         Series.constant(1, 4).shift_down()
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: series("C", 2.5), "order must be an integer"),
+    (lambda: series("C", "3"), "order must be an integer"),
+    (lambda: cross_check(2.5), "n_max must be an integer"),
+    (lambda: cross_check("3"), "n_max must be an integer"),
+], ids=['series("C", 2.5)', 'series("C", "3")', "cross_check(2.5)", 'cross_check("3")'])
+def test_non_integer_orders_are_rejected(call, text):
+    with pytest.raises(ValidationError, match=f"^{text}$"):
+        call()
+
+
 def test_env_var_sets_default_order(monkeypatch):
     monkeypatch.setenv("COXCAT_TRUNC_ORDER", "3")
     assert series("C").order == 3
