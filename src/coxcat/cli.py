@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print exact series coefficients")
     p.add_argument("--which", default="F", choices=["C", "B", "A", "F"])
-    p.add_argument("--order", type=int, default=None, help="truncation order (default from COXCAT_TRUNC_ORDER or 12)")
+    p.add_argument("--order", type=int, default=series_mod.DEFAULT_ORDER, help="truncation order (default 12)")
     p.add_argument("--cross-check", type=int, default=None, metavar="N", help="compare against enumeration up to z^N")
     p.set_defaults(fn=cmd_series)
 

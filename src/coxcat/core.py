@@ -55,37 +55,11 @@ class SetPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":
         """Validate integer blocks and put them in canonical form, in O(n).
 
-        n must be >= 0; when it is None it is the largest element.  blocks,
-        or a block, that is not iterable is rejected first, then blocks
-        holding other than n elements in all.  Then one pass records
-        owner[x], the index of the block holding x, and rejects a
-        non-integer element, an empty block, a repeated element and the
-        blocks not partitioning [n].  The canonical order is read off the
-        array: scanning x = 1..n appends x to its block, and a block is
-        placed when its minimum is reached.
+        The checks are _owner_pass's, over the ground set [n].  The
+        canonical order is read off its array: scanning x = 1..n appends x to
+        its block, and a block is placed when its minimum is reached.
         """
-        try:
-            bs = [tuple(b) for b in blocks]
-        except TypeError:
-            raise ValidationError(_NOT_BLOCKS) from None
-        try:
-            if n is None:
-                n = max((max(b) for b in bs if b), default=0)
-            else:
-                _check_n(operator.index(n))  # a non-integer n is reported with the elements
-            # before the array is allocated, so that an oversized n is an error, not an allocation
-            if sum(map(len, bs)) != n:
-                _reject(bs, n)
-            owner = [-1] * (n + 1)
-            for i, b in enumerate(bs):
-                if not b:
-                    raise ValidationError("empty block")
-                for x in b:
-                    if not 0 < x <= n or owner[x] >= 0:
-                        _reject(bs, n)
-                    owner[x] = i
-        except TypeError:
-            raise ValidationError(_NOT_INTEGERS) from None
+        bs, n, owner = _owner_pass(blocks, n, signed=False)
         return cls(n, _read_off(owner, len(bs), range(1, n + 1), owner[1:]))
 
     def block_containing(self, x: int) -> Block:
@@ -106,7 +80,49 @@ _NOT_BLOCKS = "blocks must be an iterable of iterables"
 _MAXIMUM = operator.itemgetter(-1)
 
 
-def _reject(bs: list[tuple], n: int, signed: bool = False) -> NoReturn:
+def _owner_pass(blocks: Iterable[Iterable[int]], n: int | None, signed: bool) -> tuple[list[tuple], int, list[int]]:
+    """The checks both from_blocks make, over [n] or, when signed, [+-n]: (bs, n, owner).
+
+    When n is None it is the largest element (largest absolute value when
+    signed).  The first offence is reported, in this order: blocks, or a
+    block, that is not iterable; n not an integer; n < 0; an element not an
+    integer; then block by block an empty block, a repeated element and
+    (signed) the element 0; then blocks that do not cover the ground set.
+    The element count is compared with n (2n) before the ownership array is
+    allocated; one pass then records owner[x], the index of the block
+    holding x (owner[-x] is the entry 2n + 1 - x).  Either, on a fault,
+    calls _reject, which names the first offence.  bs is the blocks as
+    tuples and n a plain int (a bool as its int); the callers read the
+    elements off owner's indices, so they are plain ints too.
+    """
+    try:
+        bs = [tuple(b) for b in blocks]
+    except TypeError:
+        raise ValidationError(_NOT_BLOCKS) from None
+    try:
+        if n is None:
+            n = operator.index(max((max(map(abs, b) if signed else b) for b in bs if b), default=0))
+        else:
+            n = _check_n(operator.index(n))  # a non-integer n is reported with the elements
+        size, least = (2 * n, -n) if signed else (n, 1)
+        # before the array is allocated, so that an oversized n is an error, not an allocation
+        if sum(map(len, bs)) != size:
+            _reject(bs, n, signed)
+        owner = [-1] * (size + 1)
+        owner[0] = 0  # taken, so that the element 0 is rejected as a repeat is
+        for i, b in enumerate(bs):
+            if not b:
+                _reject(bs, n, signed)
+            for x in b:
+                if not least <= x <= n or owner[x] >= 0:
+                    _reject(bs, n, signed)
+                owner[x] = i
+    except TypeError:
+        raise ValidationError(_NOT_INTEGERS) from None
+    return bs, n, owner
+
+
+def _reject(bs: list[tuple], n: int, signed: bool) -> NoReturn:
     """Raise the error for blocks that do not partition [n] (or [+-n] when signed).
 
     A non-integer n or element raises TypeError, which the caller reports as

@@ -262,6 +262,8 @@ class LatticePath:
 
     @classmethod
     def make(cls, steps: str) -> "LatticePath":
+        if not isinstance(steps, str):
+            raise ValidationError("steps must be a string of N and E")
         if set(steps) - {"N", "E"}:
             raise ValidationError("steps must be N or E")
         if steps.count("N") != steps.count("E"):

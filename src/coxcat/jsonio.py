@@ -16,8 +16,7 @@ def set_partition_to_obj(p: SetPartition) -> dict:
 
 
 def set_partition_from_obj(o: dict) -> SetPartition:
-    _need(o, "blocks")
-    return SetPartition.from_blocks(_int_lists(o["blocks"], "blocks"), _n(o))
+    return _partition_from_obj(o, SetPartition)
 
 
 def signed_partition_to_obj(p: SignedPartition) -> dict:
@@ -25,16 +24,12 @@ def signed_partition_to_obj(p: SignedPartition) -> dict:
 
 
 def signed_partition_from_obj(o: dict) -> SignedPartition:
-    _need(o, "blocks")
-    return SignedPartition.from_blocks(_int_lists(o["blocks"], "blocks"), _n(o))
+    return _partition_from_obj(o, SignedPartition)
 
 
 def partition_from_obj(o: dict):
     """Unsigned when every element is positive, signed otherwise."""
-    _need(o, "blocks")
-    if any(x < 0 for b in _int_lists(o["blocks"], "blocks") for x in b):
-        return signed_partition_from_obj(o)
-    return set_partition_from_obj(o)
+    return _partition_from_obj(o, None)
 
 
 def marked_pair_to_obj(m: MarkedPair) -> dict:
@@ -65,8 +60,6 @@ def path_to_obj(p: LatticePath) -> dict:
 
 def path_from_obj(o: dict) -> LatticePath:
     _need(o, "steps")
-    if not isinstance(o["steps"], str):
-        raise ValidationError("steps must be a string of N and E")
     return LatticePath.make(o["steps"])
 
 
@@ -108,6 +101,15 @@ def d_pair_from_obj(o: dict) -> DPair:
 
 def _partition_to_obj(p: SetPartition | SignedPartition) -> dict:
     return {"n": p.n, "blocks": [list(b) for b in p.blocks]}
+
+
+def _partition_from_obj(o: dict, cls: type[SetPartition] | type[SignedPartition] | None):
+    """The partition o describes, of class cls; when cls is None, signed iff an element is negative."""
+    _need(o, "blocks")
+    blocks = _int_lists(o["blocks"], "blocks")
+    if cls is None:
+        cls = SignedPartition if any(x < 0 for b in blocks for x in b) else SetPartition
+    return cls.from_blocks(blocks, _n(o))
 
 
 def _pair_to_obj(pair: BPair | DPair) -> dict:

@@ -214,8 +214,11 @@ class MarkedPair:
     def make(cls, sigma: SetPartition, marked: Iterable[Iterable[int]]) -> "MarkedPair":
         # each mark is kept as sigma's own block, so its elements are ints
         own = {b: b for b in sigma.blocks}
-        ms = [own.get(tuple(sorted(b))) for b in marked]
-        if None in ms or len(set(ms)) != len(ms):
+        try:
+            ms = [own[tuple(sorted(b))] for b in marked]
+        except (KeyError, TypeError):  # a mark that is no block, or marks that are not collections of integers
+            ms = None
+        if ms is None or len(set(ms)) != len(ms):
             raise ValidationError("marked blocks must be distinct blocks of the partition")
         return cls(sigma, tuple(sorted(ms, key=lambda b: b[-1])))
 

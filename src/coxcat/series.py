@@ -9,25 +9,14 @@ expanding the closed radical form directly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInvariantError, ValidationError, _check_n, _integer, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
+from .core import InternalInvariantError, ValidationError, _check_n, noncrossing_partitions, nonaligned_blocks, nonnested_blocks
 
 Poly = dict[tuple[int, int], Fraction]
 
 DEFAULT_ORDER = 12
-
-
-def default_order() -> int:
-    env = os.environ.get("COXCAT_TRUNC_ORDER")
-    if not env:
-        return DEFAULT_ORDER
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"COXCAT_TRUNC_ORDER must be an integer, not {env!r}") from None
 
 
 def _pclean(p: Poly) -> Poly:
@@ -195,11 +184,9 @@ def series_f_closed(order: int) -> Series:
     return _assert_polynomial((one + g) * (one - xyz).inverse())
 
 
-def series(which: str, order: int | None = None) -> Series:
+def series(which: str, order: int = DEFAULT_ORDER) -> Series:
     """One of the named series: C, B, A (in x) or F."""
-    order = default_order() if order is None else _integer(order, "order")
-    if order < 0:
-        raise ValidationError("order must be nonnegative")
+    order = _check_n(order, 0, "order")
     key = which.upper()
     if key == "C":
         return series_c(order)
@@ -236,9 +223,6 @@ class CrossCheckReport:
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def mismatches(self) -> tuple[CrossCheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
 
 
 def cross_check(n_max: int) -> CrossCheckReport:

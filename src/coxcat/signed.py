@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator
 
-from .core import _NOT_BLOCKS, _NOT_INTEGERS, Block, SetPartition, ValidationError, _check_n, _read_off, _reject, partitions
+from .core import Block, SetPartition, ValidationError, _check_n, _owner_pass, _read_off, partitions
 
 
 @dataclass(frozen=True)
@@ -38,39 +38,13 @@ class SignedPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "SignedPartition":
         """Validate integer blocks and put them in canonical form, in O(n).
 
-        n must be >= 0; when it is None it is the largest absolute value.
-        blocks, or a block, that is not iterable is rejected first, then
-        blocks holding other than 2n elements in all.  Then one pass records
-        owner[x], the index of the block holding x (owner[-x] is the entry
-        2n + 1 - x), and rejects a non-integer element, an empty block, a
-        repeated element, 0 in a block and the blocks not partitioning
-        [+-n].  Then the owners of the negated elements of each block must
-        all name one block, its mirror, and at most one block may be its own
-        mirror.  The canonical order is read off the array: for x = 1..n the
-        block of x, then the block of -x, is placed unless already placed.
+        The checks are _owner_pass's, over the ground set [+-n].  Then the
+        owners of the negated elements of each block must all name one
+        block, its mirror, and at most one block may be its own mirror.  The
+        canonical order is read off the array: for x = 1..n the block of x,
+        then the block of -x, is placed unless already placed.
         """
-        try:
-            bs = [tuple(b) for b in blocks]
-        except TypeError:
-            raise ValidationError(_NOT_BLOCKS) from None
-        try:
-            if n is None:
-                n = max((max(map(abs, b)) for b in bs if b), default=0)
-            else:
-                _check_n(operator.index(n))  # a non-integer n is reported with the elements
-            # before the array is allocated, so that an oversized n is an error, not an allocation
-            if sum(map(len, bs)) != 2 * n:
-                _reject(bs, n, signed=True)
-            owner = [-1] * (2 * n + 1)
-            for i, b in enumerate(bs):
-                if not b:
-                    raise ValidationError("empty block")
-                for x in b:
-                    if not (x and -n <= x <= n) or owner[x] >= 0:
-                        _reject(bs, n, signed=True)
-                    owner[x] = i
-        except TypeError:
-            raise ValidationError(_NOT_INTEGERS) from None
+        bs, n, owner = _owner_pass(blocks, n, signed=True)
         # Block j = mirror[i] holds the negation of the first element of block
         # i; every block has its mirror iff, for each x, -x lies in the mirror
         # of x's block.  owner[:0:-1] lists the owners of -1, ..., -n, n, ..., 1.

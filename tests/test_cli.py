@@ -76,6 +76,8 @@ BAD_INPUT = [
     ("verify --max-n 1 --max-n -2 --suite core", "", "error: max_n must be >= 1"),
     ("verify --max-n 1 --jobs 0", "", "error: jobs must be >= 1"),
     ("verify --max-n 1 --jobs -3", "", "error: jobs must be >= 1"),
+    # series' bound
+    ("series --order -1", "", "error: order must be >= 0"),
     # input that cannot be read, or is not JSON
     ("map --name rho --input absent.json", "", "error: cannot read absent.json: "),
     ("map --name rho --input .", "", "error: cannot read .: "),
@@ -183,6 +185,9 @@ def test_series_command(capsys):
     for which, (order, want) in SERIES_GOLDEN.items():
         code, out, _ = run_cli(capsys, ["series", "--which", which, "--order", str(order)])
         assert (which, code, out.splitlines()) == (which, 0, want)
+    # without --order the series runs to z^12
+    code, out, _ = run_cli(capsys, ["series", "--which", "C"])
+    assert code == 0 and out.splitlines()[-1] == "z^12: 208012" and len(out.splitlines()) == 13
 
 
 def test_a_failed_series_identity_exits_2(capsys, monkeypatch):
@@ -211,7 +216,9 @@ def test_verify_command(capsys):
 def test_verify_passes_below_the_d_branch_rank(capsys):
     # the four type-D clause branches first all occur at n = 3
     code, out, _ = run_cli(capsys, ["verify", "--max-n", "2", "--suite", "all"])
-    assert code == 0 and "FAIL" not in out
+    # one line per suite, each counting that suite's registry entries
+    counts = {suite: sum(e.suite == suite for e in verify.CHECKS) for suite in verify.SUITES}
+    assert code == 0 and out == "".join(f"{suite}: pass ({counts[suite]} checks)\n" for suite in sorted(verify.SUITES))
 
 
 def test_verify_reports_a_fault_inside_a_suite_as_a_failed_check(capsys, monkeypatch, jobs="1"):
@@ -426,13 +433,6 @@ def test_closed_stdout_ends_the_output_quietly():
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
     assert json.loads(first) == {"n": 11, "blocks": [[x] for x in range(1, 12)]}
-
-
-def test_bad_truncation_order_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("COXCAT_TRUNC_ORDER", "abc")
-    code, out, err = run_cli(capsys, ["series"])
-    assert code == 1 and out == ""
-    assert err == "error: COXCAT_TRUNC_ORDER must be an integer, not 'abc'\n"
 
 
 def test_run_suites_rejects_an_unknown_suite():

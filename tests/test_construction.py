@@ -1,6 +1,8 @@
 """The linear construction kernel against the sort-based constructors it
 replaced, and the canonical form of the concatenation algebra's outputs."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from coxcat.core import (
     partitions,
     slice_partition,
 )
+from coxcat.jsonio import set_partition_from_obj, set_partition_to_obj, signed_partition_from_obj, signed_partition_to_obj
 from coxcat.signed import SignedPartition
 from coxcat.typemaps import decompose, is_connected, star, uplus, xi
 
@@ -226,6 +229,9 @@ def test_signed_partition_faults_name_the_first_offence(blocks, n):
         (SignedPartition, [[1], [-1]], 1.0),
         (SetPartition, [[1, 2], [3]], "3"),
         (SignedPartition, [[1], [-1]], "1"),
+        # a non-integer after an empty block, with the element count right
+        (SetPartition, [[], [1.5]], 1),
+        (SignedPartition, [[], [1], ["a"]], 1),
     ],
 )
 def test_non_integers_are_rejected(cls, blocks, n):
@@ -245,6 +251,29 @@ def test_non_integers_are_rejected(cls, blocks, n):
 def test_non_iterable_blocks_are_rejected(cls, blocks, n):
     with pytest.raises(ValidationError, match=r"^blocks must be an iterable of iterables$"):
         cls.from_blocks(blocks, n)
+
+
+JSON_IO = {
+    SetPartition: (set_partition_to_obj, set_partition_from_obj),
+    SignedPartition: (signed_partition_to_obj, signed_partition_from_obj),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, blocks, n",
+    [
+        (SetPartition, [[1]], True),
+        (SetPartition, [[True]], None),
+        (SignedPartition, [[1], [-1]], True),
+        (SignedPartition, [[True], [-1]], None),
+    ],
+)
+def test_a_bool_is_stored_as_its_int(cls, blocks, n):
+    # JSON would write a bool n as true, which the reader rejects
+    p = cls.from_blocks(blocks, n)
+    assert type(p.n) is int and {*map(type, itertools.chain(*p.blocks))} == {int}
+    to_obj, from_obj = JSON_IO[cls]
+    assert from_obj(json.loads(json.dumps(to_obj(p)))) == p
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,9 @@ def test_lattice_path_validation():
         LatticePath.make("NEX")
     with pytest.raises(ValidationError):
         LatticePath.make("NNE")
+    for steps in (5, ["N", "E"], None):
+        with pytest.raises(ValidationError, match="^steps must be a string of N and E$"):
+            LatticePath.make(steps)
     assert LatticePath("NE").n == 1
     assert is_dyck(LatticePath("NENE"))
     assert not is_dyck(LatticePath("ENNE"))

@@ -86,7 +86,7 @@ def _fresh_stdout(script: str) -> str:
 CHECKED_CONSTRUCTOR_CALLERS = {
     *(
         f"jsonio.{kind}_from_obj"
-        for kind in ("set_partition", "signed_partition", "marked_pair", "marked_triple", "path", "tableau", "_pair")
+        for kind in ("_partition", "marked_pair", "marked_triple", "path", "tableau", "_pair")
     ),
     "models.MarkedTriple.make",  # checks the pair through MarkedPair.make
     "signed.compose_triple",

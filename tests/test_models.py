@@ -125,6 +125,12 @@ def test_marked_pair_construction_checks_blocks():
         MarkedPair.make(FIG2, [()])
     with pytest.raises(ValidationError, match=message):
         MarkedTriple.make(FIG2, [()], 1)
+    # marks that are not collections of integers get the same text, not a TypeError
+    for marked in (5, [5], [["a", 1]], [[[1]]], None):
+        with pytest.raises(ValidationError, match=message):
+            MarkedPair.make(FIG2, marked)
+        with pytest.raises(ValidationError, match=message):
+            MarkedTriple.make(FIG2, marked, 0)
     # a mark equal to a block is stored as that block, and epsilon as an int
     m = MarkedPair.make(sp([[1, 2], [3]]), [(1.0, 2.0)])
     t = MarkedTriple.make(sp([[1, 2]]), [(1, 2)], True)
