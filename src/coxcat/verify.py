@@ -399,7 +399,7 @@ def _component_identities(order):
     one = series.Series.constant(1, order)
     if (c * (one - series.series_b(order))).coeffs != one.coeffs:
         return False
-    a_at_1 = tuple(sum(p.values(), Fraction(0)) for p in series.series_a(order).coeffs)
+    a_at_1 = tuple(sum(p.values()) for p in series.series_a(order).coeffs)
     return a_at_1 == c.scalar_coefficients()
 
 
@@ -417,7 +417,7 @@ def _series_by_enumeration(n):
 @_declare("series", "coefficients are swap-symmetric and specialize to Catalan", 0, 12)
 def _closed_symmetric_catalan(n):
     p = series.series_f_closed(n).coeffs[n]
-    return p == {(j, i): v for (i, j), v in p.items()} and sum(p.values(), Fraction(0)) == CATALAN[n]
+    return p == {(j, i): v for (i, j), v in p.items()} and sum(p.values()) == CATALAN[n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import multiprocessing
@@ -181,6 +182,16 @@ SERIES_GOLDEN = {
 }
 
 
+# sha256 of the stdout of `coxcat series --which W --order 20` (21 lines),
+# as the Fraction kernel printed it
+SERIES_ORDER_20_SHA256 = {
+    "C": "52a695cdc0fcbe94152309c29589d27f5beb196f10b8f931ef078d34857cf347",
+    "B": "023a6512013b0be7551afa359e4f06a747aadfdab5a8c34bc7ac58a7b5a362d2",
+    "A": "266dd4ba7426fd371a1007442174172c442b8f7c818f157ace4a46feb501a7c9",
+    "F": "f57237bfefbd3a1ddf429a0b76929e7684ac4060a6c8dd29cd65f1888fe705a4",
+}
+
+
 def test_series_command(capsys):
     for which, (order, want) in SERIES_GOLDEN.items():
         code, out, _ = run_cli(capsys, ["series", "--which", which, "--order", str(order)])
@@ -188,6 +199,13 @@ def test_series_command(capsys):
     # without --order the series runs to z^12
     code, out, _ = run_cli(capsys, ["series", "--which", "C"])
     assert code == 0 and out.splitlines()[-1] == "z^12: 208012" and len(out.splitlines()) == 13
+
+
+@pytest.mark.parametrize("which", SERIES_ORDER_20_SHA256)
+def test_series_command_at_order_20(capsys, which):
+    code, out, _ = run_cli(capsys, ["series", "--which", which, "--order", "20"])
+    assert (code, len(out.splitlines())) == (0, 21)
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_20_SHA256[which]
 
 
 def test_a_failed_series_identity_exits_2(capsys, monkeypatch):
