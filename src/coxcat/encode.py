@@ -26,7 +26,7 @@ from .core import (
     noncrossing_partitions,
 )
 from .interpret import phi_nc_b, phi_nc_b_inverse, phi_nc_d, phi_nc_d_inverse
-from .models import MarkedPair, MarkedTriple, _check_rank, _pairs, marked_pairs, require, validate_marked
+from .models import MarkedPair, MarkedTriple, _check_rank, _pairs, marked_members, require, validate_marked
 from .signed import SignedPartition
 
 # x slot of a pair encoding: None, ("edge", (i, j)), ("block", blk) or ("int", k)
@@ -217,7 +217,7 @@ def is_restricted_pair(m: MarkedPair) -> bool:
 def restricted_pairs(n: int) -> Iterator[MarkedPair]:
     """The restricted pairs over [n]: the image under kappa of the triples of rank n."""
     _check_rank(n, "nc_nn_pm")
-    return (m for m in marked_pairs(n, "nc_nn") if is_restricted_pair(m))
+    return (m for m in marked_members("nc_nn", n) if (n,) not in m.marked)
 
 
 def kappa(t: MarkedTriple, check: bool = True) -> MarkedPair:

@@ -8,7 +8,8 @@ type-B or type-C member avoids its pattern in the family's own total order; a
 type-D member is one that the marked-triple round trip reproduces.
 
 The unchecked reading both ways is models', whose membership and enumeration
-use it; this module adds the domain checks, the public maps and type clauses.
+use it; this module adds the domain checks, the public maps and the type
+read-off image_type.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ def _forward(family: str, p: SignedPartition, check: bool) -> MarkedPair | Marke
 def _inverse(family: str, m: MarkedPair | MarkedTriple, check: bool) -> SignedPartition:
     require(m, SIGNED_FAMILIES[family].marked, check)
     return _read_signed(family, m)
-
-
-def _type_clause(family: str, m: MarkedPair | MarkedTriple) -> tuple[int, ...]:
-    """Sizes of the image's nonzero mirror pairs that are not blocks of sigma."""
-    return _type_multiset(len(a1) + len(a2) for a1, a2 in _pairs(family, m) if a1 != a2)
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +90,16 @@ def phi_nn_d_inverse(t: MarkedTriple, check: bool = True) -> SignedPartition:
 
 
 # ---------------------------------------------------------------------------
-# Type clauses: the multiset T such that type(pi) = type(sigma minus X) + T
+# The type clause: type(pi) = type(sigma minus X) + T
 
 
-def _type_multiset(sizes) -> tuple[int, ...]:
-    return tuple(sorted(sizes, reverse=True))
+def image_type(family: str, m: MarkedPair | MarkedTriple) -> tuple[int, ...]:
+    """The signed type of m's image under the family's inverse, trusting m.
 
-
-def unmarked_type(m: MarkedPair | MarkedTriple) -> tuple[int, ...]:
+    The unmarked blocks of sigma keep their sizes, and T holds |A| + |A'|
+    for each pair (A, A') of the image that is not a zero block (A != A').
+    """
     marked = set(m.marked)
-    return _type_multiset(len(b) for b in m.sigma.blocks if b not in marked)
-
-
-def type_clause_b(m: MarkedPair) -> tuple[int, ...]:
-    """T for the type-B noncrossing interpretation (middle block drops out when odd)."""
-    return _type_clause("nc_b", m)
-
-
-def type_clause_nn_b(m: MarkedPair) -> tuple[int, ...]:
-    return _type_clause("nn_b", m)
-
-
-def type_clause_nn_c(m: MarkedPair) -> tuple[int, ...]:
-    return _type_clause("nn_c", m)
-
-
-def type_clause_nc_d(t: MarkedTriple) -> tuple[int, ...]:
-    return _type_clause("nc_d", t)
-
-
-def type_clause_nn_d(t: MarkedTriple) -> tuple[int, ...]:
-    return _type_clause("nn_d", t)
+    sizes = [len(b) for b in m.sigma.blocks if b not in marked]
+    sizes += [len(a1) + len(a2) for a1, a2 in _pairs(family, m) if a1 != a2]
+    return tuple(sorted(sizes, reverse=True))

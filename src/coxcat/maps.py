@@ -110,12 +110,8 @@ def _over_absolute(p, pair, drop: int | None = None) -> bool:
 
 def _phi(fam: str) -> MapPair:
     cls = SIGNED_FAMILIES[fam].marked
-
-    def type_clause(p, m):
-        want = tuple(sorted(interpret.unmarked_type(m) + interpret._type_clause(fam, m), reverse=True))
-        return validate_marked(m, cls) and signed_type(p) == want
-
-    return _named(interpret, f"phi_{fam}", fam, cls, type_clause)
+    return _named(interpret, f"phi_{fam}", fam, cls,
+                  lambda p, m: validate_marked(m, cls) and signed_type(p) == interpret.image_type(fam, m))
 
 
 def _composed(letter: str, src: str, dst: str) -> MapPair:

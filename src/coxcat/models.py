@@ -285,36 +285,23 @@ def require(x, domain: str, check: bool = True) -> None:
         raise domain_error(domain)
 
 
-def marked_pairs(n: int, cls_name: str) -> Iterator[MarkedPair]:
-    """All marked pairs of the class, e.g. every (sigma, X) with X nonnested."""
-    family, kind, is_triple = _class_parts(cls_name)
-    if is_triple:
-        raise ValidationError("use marked_triples for a triple class")
-    source = noncrossing_partitions(n) if family == "nc_a" else nonnesting_partitions(n)
-    for sigma in source:
-        special = special_blocks(sigma, kind)
-        for r in range(len(special) + 1):
-            for marked in itertools.combinations(special, r):
-                yield MarkedPair(sigma, marked)
-
-
-def marked_triples(n: int, cls_name: str) -> Iterator[MarkedTriple]:
-    family, kind, is_triple = _class_parts(cls_name)
-    if not is_triple:
-        raise ValidationError("use marked_pairs for a pair class")
-    for pair in marked_pairs(n, cls_name[:-3]):
-        eps_choices = (0,) if not pair.marked else (-1, 0, 1)
-        for eps in eps_choices:
-            yield MarkedTriple(pair.sigma, pair.marked, eps)
-
-
 def marked_members(cls_name: str, n: int) -> Iterator[MarkedPair | MarkedTriple]:
-    """The members of a marked class at rank n.  A marked triple over [n - 1]
-    has rank n, like the type-D partitions it encodes."""
+    """The members of a marked class at rank n, e.g. every (sigma, X) with X
+    nonnested; the class and the rank are checked at the call.  A marked
+    triple over [n - 1] has rank n, like the type-D partitions it encodes."""
     _check_rank(n, cls_name)
-    if cls_name in MARKED_TRIPLE_CLASSES:
-        return marked_triples(n - 1, cls_name)
-    return marked_pairs(n, cls_name)
+    family, kind, is_triple = _class_parts(cls_name)
+    source = noncrossing_partitions if family == "nc_a" else nonnesting_partitions
+    pairs = (
+        MarkedPair(sigma, marked)
+        for sigma in source(n - is_triple)
+        for special in (special_blocks(sigma, kind),)
+        for r in range(len(special) + 1)
+        for marked in itertools.combinations(special, r)
+    )
+    if not is_triple:
+        return pairs
+    return (MarkedTriple(m.sigma, m.marked, eps) for m in pairs for eps in ((-1, 0, 1) if m.marked else (0,)))
 
 
 def _epsilon_of_top_block(bn: Block, n: int) -> int:

@@ -70,12 +70,20 @@ def _pscale(a: Poly, c: int | Fraction) -> Poly:
     return _pclean({k: v * c for k, v in a.items()})
 
 
-def _pconst(c) -> Poly:
-    c = _exact(c)
+def _pconst(c: int | Fraction) -> Poly:
     return {(0, 0): c} if c else {}
 
 
+def _scalar(c) -> int | Fraction:
+    """c as an exact scalar; ValidationError unless it is an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise ValidationError("scalars must be integers or fractions")
+    return _exact(c)
+
+
 def _same_order(a: "Series", b: "Series") -> None:
+    if not isinstance(b, Series):
+        raise ValidationError("operands must be series")
     if a.order != b.order:
         raise ValidationError("series orders differ")
 
@@ -94,15 +102,17 @@ class Series:
     @classmethod
     def constant(cls, c, order: int) -> "Series":
         order = _check_n(order, 0, "order")
-        return cls(order, (_pconst(c),) + tuple({} for _ in range(order)))
+        return cls(order, (_pconst(_scalar(c)),) + tuple({} for _ in range(order)))
 
     @classmethod
     def monomial(cls, c, xdeg: int, ydeg: int, zdeg: int, order: int) -> "Series":
         order = _check_n(order, 0, "order")
+        if not all(isinstance(d, int) for d in (xdeg, ydeg, zdeg)):
+            raise ValidationError("degrees must be integers")
         if min(xdeg, ydeg, zdeg) < 0:
             raise ValidationError("degrees must be >= 0")
         coeffs = [dict() for _ in range(order + 1)]
-        c = _exact(c)
+        c = _scalar(c)
         if zdeg <= order and c:
             coeffs[zdeg] = {(xdeg, ydeg): c}
         return cls(order, tuple(coeffs))
@@ -112,6 +122,7 @@ class Series:
         return Series(self.order, tuple(_padd(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
+        _same_order(self, other)
         return self + other.scale(-1)
 
     def __mul__(self, other: "Series") -> "Series":
@@ -127,7 +138,7 @@ class Series:
         return Series(self.order, tuple(out))
 
     def scale(self, c) -> "Series":
-        c = _exact(c)
+        c = _scalar(c)
         return Series(self.order, tuple(_pscale(p, c) for p in self.coeffs))
 
     def divide(self, other: "Series") -> "Series":

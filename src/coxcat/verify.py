@@ -30,7 +30,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import encode, maps, models, series, typemaps
@@ -270,13 +269,14 @@ def _narayana_counts(n):
     return True
 
 
-def _narayana(fam: str, n: int, ell: int) -> Fraction:
+def _narayana(fam: str, n: int, ell: int) -> int:
     """Members of NC_B(n) (Reiner 1997) or NC_D(n), n >= 2 (Athanasiadis-Reiner 2004) with ell nonzero block pairs."""
     if fam == "B":
-        return Fraction(math.comb(n, ell) ** 2)
+        return math.comb(n, ell) ** 2
     if ell == 0:
-        return Fraction(1)
-    return math.comb(n, ell) ** 2 - Fraction(n, n - 1) * math.comb(n - 1, ell - 1) * math.comb(n - 1, ell)
+        return 1
+    # C(n-1, ell-1) C(n-1, ell) / (n - 1) is the Narayana number N(n - 1, ell), an integer
+    return math.comb(n, ell) ** 2 - n * models._exact_div(math.comb(n - 1, ell - 1) * math.comb(n - 1, ell), n - 1)
 
 
 def _all_types(fam: str, n: int):
@@ -359,8 +359,8 @@ def _xi_block_sizes(n):
 
 @_declare("typemaps", "joint statistic distribution is swap-symmetric", 0, 10)
 def _joint_symmetry(n):
-    dist = Counter((len(nonnested_blocks(p)), len(nonaligned_blocks(p))) for p in noncrossing_partitions(n))
-    return dist == Counter({(b, a): v for (a, b), v in dist.items()})
+    dist = series.nn_na_polynomial(n)
+    return dist == {(b, a): v for (a, b), v in dist.items()}
 
 
 @_declare("typemaps", "rho is a profile-preserving bijection onto nonnesting partitions", 0, 9)

@@ -8,14 +8,19 @@ verify.run_check, so a row costs milliseconds.  A change to a check body
 that costs it its power shows as a row that no longer fails.  Each row
 runs on fresh caches, so that a fault neither meets objects built by the
 right code nor leaves wrong ones behind.
+
+The name is a module attribute, or a key when the row patches a dict, such
+as a row of models.SIGNED_FAMILIES: the entry is replaced in place, so every
+module that imported the dict sees the fault.
 """
 
 import dataclasses
 
 import pytest
 
-from coxcat import core, models, signed, typemaps, verify
+from coxcat import core, interpret, models, signed, typemaps, verify
 from coxcat.core import SetPartition, ValidationError
+from coxcat.models import SIGNED_FAMILIES, SignedFamily
 
 CHECK = {(e.suite, e.name): e for e in verify.CHECKS}
 
@@ -38,7 +43,13 @@ def _decompose_without_gamma(p, decompose=signed.decompose_triple):
     return dataclasses.replace(decompose(p), gamma=())
 
 
-# (module, name, replacement,
+def _image_type_without_pairs(family, m):
+    """interpret.image_type without the sizes of the image's pairs: the type of sigma minus X alone."""
+    marked = set(m.marked)
+    return tuple(sorted((len(b) for b in m.sigma.blocks if b not in marked), reverse=True))
+
+
+# (module or dict, name or key, replacement,
 #  {(suite, check name): (least failing n, exception raised there or None)})
 FAULTS = [
     pytest.param(
@@ -79,6 +90,44 @@ FAULTS = [
         {("typemaps", "composed maps are type-preserving bijections"): (4, None)},
         id="iota is the identity",
     ),
+    pytest.param(
+        SIGNED_FAMILIES, "nn_b", SignedFamily("nn_na", "middle"),
+        {("models", "bijective enumerations agree with filtering signed partitions"): (3, None)},
+        id="nn_b holds its middle marks",
+    ),
+    pytest.param(
+        SIGNED_FAMILIES, "nn_c", SignedFamily("nn_na", "first"),
+        {("models", "bijective enumerations agree with filtering signed partitions"): (3, None)},
+        id="nn_c holds its first marks",
+    ),
+    pytest.param(
+        SIGNED_FAMILIES, "nc_d", SignedFamily("nc_nn_pm", "first"),
+        {
+            ("typemaps", "marked-pair maps are bijections on their classes"): (4, None),
+            ("encode", "pair encoding of the D family is bijective with its type clause"): (4, None),
+        },
+        id="nc_d holds its first marks",
+    ),
+    pytest.param(
+        SIGNED_FAMILIES, "nc_b", SignedFamily("nc_na", "middle"),
+        {
+            ("models", "bijective enumerations agree with filtering signed partitions"): (3, None),
+            ("interpret", "nc_b: bijective with type clause"): (3, None),
+            ("typemaps", "composed maps are type-preserving bijections"): (3, KeyError),
+        },
+        id="nc_b marks its nonaligned blocks",
+    ),
+    pytest.param(
+        interpret, "image_type", _image_type_without_pairs,
+        {
+            ("interpret", "nc_b: bijective with type clause"): (2, None),
+            ("interpret", "nn_b: bijective with type clause"): (2, None),
+            ("interpret", "nn_c: bijective with type clause"): (2, None),
+            ("interpret", "nc_d: bijective with type clause"): (1, None),
+            ("interpret", "nn_d: bijective with type clause"): (1, None),
+        },
+        id="image_type drops the pair sizes",
+    ),
 ]
 
 
@@ -92,9 +141,12 @@ def fresh_caches(monkeypatch):
     models.type_census.cache_clear()
 
 
-@pytest.mark.parametrize("module, name, fault, caught_by", FAULTS)
-def test_fault_is_caught(monkeypatch, module, name, fault, caught_by):
-    monkeypatch.setattr(module, name, fault)
+@pytest.mark.parametrize("target, name, fault, caught_by", FAULTS)
+def test_fault_is_caught(monkeypatch, target, name, fault, caught_by):
+    if isinstance(target, dict):
+        monkeypatch.setitem(target, name, fault)
+    else:
+        monkeypatch.setattr(target, name, fault)
     for (suite, check), (n, raises) in caught_by.items():
         result = verify.run_check(CHECK[suite, check], n)
         if raises is None:

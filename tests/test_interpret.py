@@ -1,6 +1,7 @@
 from conftest import FIG4, FIG4_SIGMA, FIG5
 from coxcat.core import SetPartition
 from coxcat.interpret import (
+    image_type,
     phi_nc_b,
     phi_nc_b_inverse,
     phi_nc_d,
@@ -11,12 +12,6 @@ from coxcat.interpret import (
     phi_nn_c_inverse,
     phi_nn_d,
     phi_nn_d_inverse,
-    type_clause_b,
-    type_clause_nc_d,
-    type_clause_nn_b,
-    type_clause_nn_c,
-    type_clause_nn_d,
-    unmarked_type,
 )
 from coxcat.models import MarkedPair
 from coxcat.signed import SignedPartition, signed_type
@@ -29,17 +24,12 @@ FIG7 = sgn([[1, 3, 7, -10, -6], [-1, -3, -7, 10, 6], [2, 4], [-2, -4], [5, 9, -9
 FIG8 = sgn([[1, 4, 7, -3, -6, 10], [-1, -4, -7, 3, 6, -10], [2], [-2], [5, 9, -8], [-5, -9, 8]])
 
 
-def _type_read_off(m, clause):
-    """The signed type of a marked object's preimage: its unmarked type plus the family's type clause."""
-    return tuple(sorted(unmarked_type(m) + clause(m), reverse=True))
-
-
 def test_phi_nc_b_fig4():
     m = phi_nc_b(FIG4)
     assert m.sigma == FIG4_SIGMA
     assert set(m.marked) == {(1, 4, 5), (7, 9), (10,)}
     assert phi_nc_b_inverse(m) == FIG4
-    assert signed_type(FIG4) == _type_read_off(m, type_clause_b)
+    assert signed_type(FIG4) == image_type("nc_b", m)
 
 
 def test_phi_nc_b_trivial_and_forced_zero():
@@ -57,7 +47,7 @@ def test_phi_nc_d_fig5():
     assert set(t.marked) == {(1, 2), (3, 5), (6, 7), (8,)}
     assert t.epsilon == -1
     assert phi_nc_d_inverse(t) == FIG5
-    assert signed_type(FIG5) == _type_read_off(t, type_clause_nc_d)
+    assert signed_type(FIG5) == image_type("nc_d", t)
 
 
 def test_phi_nc_d_small_branches():
@@ -78,7 +68,7 @@ def test_phi_nn_b_fig6():
     back = phi_nn_b_inverse(m)
     assert back == FIG6
     assert back.zero_block() == (-7, -3, -1, 1, 3, 7)
-    assert signed_type(FIG6) == _type_read_off(m, type_clause_nn_b)
+    assert signed_type(FIG6) == image_type("nn_b", m)
 
 
 def test_phi_nn_c_fig7_differs_from_b():
@@ -88,7 +78,7 @@ def test_phi_nn_c_fig7_differs_from_b():
     assert phi_nn_c_inverse(m) == FIG7
     assert FIG6 != FIG7
     assert phi_nn_c_inverse(m).zero_block() == (-9, -5, 5, 9)
-    assert signed_type(FIG7) == _type_read_off(m, type_clause_nn_c)
+    assert signed_type(FIG7) == image_type("nn_c", m)
 
 
 def test_phi_nn_c_empty_marks():
@@ -104,7 +94,7 @@ def test_phi_nn_d_fig8():
     assert t.marked == ((3, 6), (1, 4, 7), (8,), (5, 9))
     assert t.epsilon == -1
     assert phi_nn_d_inverse(t) == FIG8
-    assert signed_type(FIG8) == _type_read_off(t, type_clause_nn_d)
+    assert signed_type(FIG8) == image_type("nn_d", t)
 
 
 def test_phi_nn_d_trivial():

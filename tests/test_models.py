@@ -10,7 +10,7 @@ from coxcat import models
 from coxcat.core import (
     SetPartition, ValidationError, noncrossing_partitions, nonnesting_partitions, partitions, pattern_free,
 )
-from coxcat.encode import lattice_paths
+from coxcat.encode import lattice_paths, restricted_pairs
 from coxcat.jsonio import marked_pair_from_obj, marked_pair_to_obj, marked_triple_from_obj, marked_triple_to_obj
 from coxcat.models import (
     FAMILIES,
@@ -29,8 +29,6 @@ from coxcat.models import (
     exhaustive_count_by_type,
     is_member,
     marked_members,
-    marked_pairs,
-    marked_triples,
     validate_marked,
 )
 from coxcat.signed import SignedPartition, count_signed, enumerate_signed
@@ -146,14 +144,33 @@ def test_marked_pair_construction_checks_blocks():
 def test_marked_class_sizes():
     # all marks on nonnested blocks of noncrossing partitions: central binomial
     for n in range(1, 6):
-        assert sum(1 for _ in marked_pairs(n, "nc_nn")) == math.comb(2 * n, n)
-        assert sum(1 for _ in marked_pairs(n, "nn_na")) == math.comb(2 * n, n)
-    assert sum(1 for _ in marked_triples(3, "nc_nn_pm")) == 50
+        assert sum(1 for _ in marked_members("nc_nn", n)) == math.comb(2 * n, n)
+        assert sum(1 for _ in marked_members("nn_na", n)) == math.comb(2 * n, n)
+    # the triples over [3] have rank 4, like |NC_D(4)|
+    assert sum(1 for _ in marked_members("nc_nn_pm", 4)) == 50
 
 
-def test_marked_pairs_yield_at_large_n():
+def test_marked_members_yield_at_large_n():
     singletons = SetPartition(1200, tuple((x,) for x in range(1, 1201)))
-    assert next(marked_pairs(1200, "nc_nn")) == MarkedPair(singletons, ())
+    assert next(marked_members("nc_nn", 1200)) == MarkedPair(singletons, ())
+
+
+def test_marked_members_order():
+    """sigma in generator order, marks by itertools.combinations, epsilon in -1, 0, 1."""
+    got = [(t.sigma.blocks, t.marked, t.epsilon) for t in marked_members("nc_nn_pm", 3)]
+    apart, whole = ((1,), (2,)), ((1, 2),)
+    marks = [((1,),), ((2,),), ((1,), (2,))]
+    assert got == [
+        (apart, (), 0), *((apart, m, e) for m in marks for e in (-1, 0, 1)),
+        (whole, (), 0), *((whole, whole, e) for e in (-1, 0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("call", [lambda: marked_members("nc_xx", 3), lambda: marked_members("nc_nn_pm", 0)],
+                         ids=["unknown class", "triple class at rank 0"])
+def test_marked_members_checks_at_the_call(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -230,6 +247,9 @@ NON_INTEGER_N = {
     "count_by_type": (lambda n: count_by_type("B", n, ()), NOT_AN_INTEGER),
     "count_by_type_part": (lambda n: count_by_type("B", 2, [n]), NOT_A_PART),
     "exhaustive_count_by_type_part": (lambda n: exhaustive_count_by_type("B", 2, [1, n]), NOT_A_PART),
+    "marked_members_pair_class": (lambda n: marked_members("nn_na", n), NOT_AN_INTEGER),
+    "marked_members_triple_class": (lambda n: marked_members("nc_nn_pm", n), NOT_AN_INTEGER),
+    "restricted_pairs": (restricted_pairs, NOT_AN_INTEGER),
 }
 
 

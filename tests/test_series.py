@@ -89,8 +89,21 @@ ONE5, ONE3 = Series.constant(1, 5), Series.constant(1, 3)
     (lambda: ONE5 * ONE3, "series orders differ"),
     (lambda: ONE5.divide(ONE3), "series orders differ"),
     (lambda: ONE3.divide(Series.monomial(1, 1, 0, 0, 3)), "division needs a nonzero scalar constant term"),
+    (lambda: Series.monomial(1, 0.5, 0, 0, 3), "degrees must be integers"),
+    (lambda: Series.monomial(1, "a", 0, 0, 3), "degrees must be integers"),
+    (lambda: Series.monomial(1, 0, 0, 1.0, 3), "degrees must be integers"),
+    (lambda: Series.constant("x", 3), "scalars must be integers or fractions"),
+    (lambda: Series.constant(0.1, 2), "scalars must be integers or fractions"),
+    (lambda: Series.monomial(0.5, 1, 0, 0, 3), "scalars must be integers or fractions"),
+    (lambda: ONE3.scale(0.5), "scalars must be integers or fractions"),
+    (lambda: ONE3 + 1, "operands must be series"),
+    (lambda: ONE3 - 1, "operands must be series"),
+    (lambda: ONE3 * 2, "operands must be series"),
+    (lambda: ONE3.divide(F(1, 2)), "operands must be series"),
 ], ids=["monomial z^-2", "monomial x^-1", "monomial y^-1", "constant order -1", "monomial order -1",
-        "truncate(-2)", "3 coefficients short", "add", "sub", "mul", "divide", "divide by x"])
+        "truncate(-2)", "3 coefficients short", "add", "sub", "mul", "divide", "divide by x",
+        "monomial x^0.5", 'monomial x^"a"', "monomial z^1.0", 'constant "x"', "constant 0.1", "monomial 0.5x",
+        "scale(0.5)", "add 1", "sub 1", "mul 2", "divide by 1/2"])
 def test_malformed_shapes_are_rejected(call, text):
     with pytest.raises(ValidationError, match=f"^{text}$"):
         call()

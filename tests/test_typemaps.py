@@ -15,7 +15,7 @@ from coxcat.core import (
     nonnested_blocks,
     slice_partition,
 )
-from coxcat.models import MarkedPair, MarkedTriple, marked_pairs, marked_triples
+from coxcat.models import MarkedPair, MarkedTriple, marked_members
 from coxcat.signed import signed_type, zero_block_size
 from coxcat.typemaps import (
     NcDecomposition,
@@ -185,7 +185,7 @@ def _rearrange_by_slices(m: MarkedPair, perm: tuple[int, ...]) -> MarkedPair:
 
 def test_rearrange_agrees_with_slicing_on_every_small_pair_and_perm():
     for n in range(8):
-        for m in marked_pairs(n, "nc_nn"):
+        for m in marked_members("nc_nn", n):
             for perm in itertools.permutations(range(1, len(m.marked) + 1)):
                 assert rearrange(m, perm) == _rearrange_by_slices(m, perm)
 
@@ -233,11 +233,12 @@ def _iota_perm_d(k: int, epsilon: int) -> tuple[int, ...]:
 
 def test_iota_permutes_by_the_hand_written_rule():
     for n in range(1, 8):
-        for m in marked_pairs(n, "nc_nn"):
+        for m in marked_members("nc_nn", n):
             perm = _iota_perm_b(len(m.marked))
             assert iota_b(m, check=False) == rearrange(m, perm)
             assert rearrange(iota_b_inverse(m, check=False), perm) == m
-        for t in marked_triples(n, "nc_nn_pm"):
+        # the triples over [n] have rank n + 1
+        for t in marked_members("nc_nn_pm", n + 1):
             perm = _iota_perm_d(len(t.marked), t.epsilon)
             out, back = iota_d(t, check=False), iota_d_inverse(t, check=False)
             assert (out.pair, out.epsilon) == (rearrange(t.pair, perm), t.epsilon)
